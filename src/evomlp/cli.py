@@ -61,7 +61,13 @@ def load_config(path):
         neuron_min=space_raw.get("neuron_min", 1),
         neuron_max=space_raw.get("neuron_max", 400),
         max_layers=space_raw.get("max_layers", max_layers),
+        solver_count=space_raw.get("solver_count", 10),
     )
+    if max_layers > space.max_layers:
+        # layer growth would run out of genome capacity in every cell
+        raise ConfigError(
+            f"max_layers {max_layers} exceeds space.max_layers "
+            f"{space.max_layers}")
 
     algorithms = tuple(canonical_name(a)
                        for a in raw.get("algorithms", ALGORITHM_NAMES))

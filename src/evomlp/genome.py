@@ -61,6 +61,9 @@ class SearchSpace:
             raise ValueError("neuron_min must be >= 1")
         if self.max_layers < 1:
             raise ValueError("max_layers must be >= 1")
+        if not 1 <= self.solver_count <= len(solvers.SOLVER_NAMES):
+            raise ValueError(
+                f"solver_count must be in [1, {len(solvers.SOLVER_NAMES)}]")
 
     def dimension(self, n_layers):
         return len(HYPER_FIELDS) + n_layers

@@ -4,6 +4,11 @@ Missing features are zeroed by an element-wise product with a binary mask
 before the first hidden layer, so they contribute nothing to the first
 activations while observed features pass through unchanged. Deeper layers
 are ordinary affine + rectifier, the output layer is affine + softmax.
+
+A network keeps all of its parameters in one contiguous vector, `flat`;
+its weight matrices and bias vectors are reshaped views into it. A
+solver trains the network by updating `flat` in place against a gradient
+vector of the same layout, which `loss_and_gradients` can fill.
 """
 
 import numpy as np
@@ -12,8 +17,11 @@ import numpy as np
 class MaskedMLP:
     """Weights/biases for hidden layers plus the output layer.
 
-    params interleaves [W1, b1, W2, b2, ..., W_out, b_out]; gradient lists
-    from loss_and_gradients align with this order.
+    `flat` holds [W1, b1, W2, b2, ..., W_out, b_out] back to back, each
+    matrix row-major; `weights`, `biases` and `params` (the interleaved
+    list) are views into it, so writing through any of them writes
+    `flat`. Gradient lists from loss_and_gradients align with `params`.
+    The constructor copies the given arrays into a fresh `flat`.
     """
 
     def __init__(self, weights, biases, solver_meta=None):
@@ -23,9 +31,32 @@ class MaskedMLP:
             if wa.shape[1] != wb.shape[0]:
                 raise ValueError(
                     f"layer shapes do not chain: {wa.shape} -> {wb.shape}")
-        self.weights = weights
-        self.biases = biases
+        self._layout, start = [], 0  # (start, stop, shape) per tensor
+        for w in weights:
+            for shape in (w.shape, (w.shape[1],)):
+                stop = start + int(np.prod(shape))
+                self._layout.append((start, stop, shape))
+                start = stop
+        self.flat = np.empty(start)
+        self._unflattened = (None, [])
+        self.params = self.unflatten(self.flat)
+        self.weights = self.params[0::2]
+        self.biases = self.params[1::2]
+        given = [t for pair in zip(weights, biases) for t in pair]
+        for view, value in zip(self.params, given):
+            view[...] = value
         self.solver_meta = solver_meta
+
+    def unflatten(self, vec):
+        """Views of a vector laid out like `flat`, ordered like params.
+
+        The views of the last vector asked for are kept, since training
+        asks for those of one gradient vector on every mini-batch."""
+        if self._unflattened[0] is not vec:
+            self._unflattened = (vec, [vec[start:stop].reshape(shape)
+                                       for start, stop, shape
+                                       in self._layout])
+        return list(self._unflattened[1])
 
     @property
     def input_dim(self):
@@ -38,14 +69,6 @@ class MaskedMLP:
     @property
     def hidden_layer_sizes(self):
         return tuple(w.shape[1] for w in self.weights[:-1])
-
-    @property
-    def params(self):
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
 
     def to_dict(self):
         return {
@@ -125,10 +148,12 @@ def predict(net, X, M=None):
     return np.argmax(forward_batch(net, X, M), axis=1)
 
 
-def loss_and_gradients(net, X, M, y):
+def loss_and_gradients(net, X, M, y, out=None):
     """Mean cross-entropy over the batch and exact gradients.
 
-    Returns (loss, grads) with grads ordered like net.params.
+    Returns (loss, grads) with grads ordered like net.params. The
+    gradients are written into `out`, a vector laid out like net.flat
+    (a fresh one when None), and grads are views into it.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=int)
@@ -155,10 +180,10 @@ def loss_and_gradients(net, X, M, y):
     delta[np.arange(n), y] -= 1.0
     delta /= n
 
-    grads = [None] * (2 * len(net.weights))
+    grads = net.unflatten(np.empty_like(net.flat) if out is None else out)
     for layer in range(len(net.weights) - 1, -1, -1):
-        grads[2 * layer] = activations[layer].T @ delta
-        grads[2 * layer + 1] = delta.sum(axis=0)
+        np.matmul(activations[layer].T, delta, out=grads[2 * layer])
+        delta.sum(axis=0, out=grads[2 * layer + 1])
         if layer > 0:
             delta = (delta @ net.weights[layer].T) * (pre[layer - 1] > 0)
     return loss, grads

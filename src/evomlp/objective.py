@@ -90,15 +90,14 @@ def stratified_folds(y, k, rng):
     Every row lands in exactly one fold; class members are dealt
     round-robin after a shuffle.
     """
-    folds = [[] for _ in range(k)]
+    fold_of = np.empty(len(y), dtype=int)
     offset = 0
     for c in np.unique(y):
         idx = np.flatnonzero(y == c)
         idx = idx[rng.permutation(idx.size)]
-        for j, row in enumerate(idx):
-            folds[(offset + j) % k].append(row)
+        fold_of[idx] = (offset + np.arange(idx.size)) % k
         offset += idx.size
-    return [np.sort(np.array(f, dtype=int)) for f in folds]
+    return [np.flatnonzero(fold_of == f) for f in range(k)]
 
 
 def _fit_minmax(X, M):
@@ -151,9 +150,8 @@ def evaluate(genome, ds, cfg, space=None):
         net = network.init_network(
             spec.hidden_layer_sizes, ds.p,
             seed=derive_seed(cfg.seed, "init", fold_i))
-        solver = make_solver(SolverSpec(spec.solver_id, spec.active_params),
-                             [p.shape for p in net.params])
-        trained = _train(net, solver, X_train, M_train, y_train, cfg,
+        trained = _train(net, SolverSpec(spec.solver_id, spec.active_params),
+                         X_train, M_train, y_train, cfg,
                          rng=np.random.default_rng(
                              derive_seed(cfg.seed, "batches", fold_i)))
 
@@ -181,19 +179,24 @@ def evaluate(genome, ds, cfg, space=None):
     )
 
 
-def _train(net, solver, X, M, y, cfg, rng):
-    """Mini-batch training; returns False if the weights blew up."""
+def _train(net, solver_spec, X, M, y, cfg, rng):
+    """Mini-batch training of net.flat in place, against one gradient
+    vector of the same layout; returns False if the weights blew up.
+
+    The solver and the gradient vector live only for the call, so one
+    fold's training state is freed before the next fold's is made."""
+    solver = make_solver(solver_spec, [net.flat.shape])
     n = X.shape[0]
-    params = net.params
+    params, grads = [net.flat], [np.empty_like(net.flat)]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(cfg.epochs):
             order = rng.permutation(n)
             for start in range(0, n, cfg.batch_size):
                 batch = order[start:start + cfg.batch_size]
-                _, grads = network.loss_and_gradients(
-                    net, X[batch], M[batch], y[batch])
+                network.loss_and_gradients(
+                    net, X[batch], M[batch], y[batch], out=grads[0])
                 try:
                     solver.step(params, grads)
                 except NumericFaultError:
                     return False
-    return all(np.all(np.isfinite(p)) for p in params)
+    return bool(np.all(np.isfinite(net.flat)))

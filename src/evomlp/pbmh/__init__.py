@@ -12,7 +12,8 @@ import numpy as np
 
 from ..genome import Genome
 from .cmaes import CMAES_CONSTANTS, run_cmaes
-from .core import Budget, ConfigError, OptimizerConfig, OptResult
+from .core import (Budget, ConfigError, NonFiniteObjectiveError,
+                   OptimizerConfig, OptResult)
 from .de import (DE_CONSTANTS, JADE_CONSTANTS, LSHADE_CONSTANTS,
                  SAPDE_CONSTANTS, SHADE_CONSTANTS, run_de, run_jade,
                  run_lshade, run_sapde, run_shade)
@@ -26,6 +27,7 @@ __all__ = [
     "ALGORITHM_NAMES",
     "Budget",
     "ConfigError",
+    "NonFiniteObjectiveError",
     "OptResult",
     "OptimizerConfig",
     "StageResult",

@@ -16,6 +16,11 @@ class ConfigError(ValueError):
     """Optimizer configuration violates its invariants."""
 
 
+class NonFiniteObjectiveError(FloatingPointError):
+    """The objective returned NaN or an infinity, which no comparison
+    with the incumbent can rank."""
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     algorithm: str
@@ -59,6 +64,9 @@ class Budget:
         if self.exhausted:
             raise RuntimeError("evaluation budget exhausted")
         f = float(self.fn(x))
+        if not np.isfinite(f):
+            raise NonFiniteObjectiveError(
+                f"objective returned {f} at evaluation index {self.used}")
         self.used += 1
         self.trace.append(f)
         if f < self.best_f:

@@ -2,8 +2,20 @@
 
 Each rule follows its original formulation and consumes only the
 hyperparameters declared in CONSUMED; everything else in the genome is
-ignored for that solver. States hold per-tensor slot arrays (moments,
-accumulators, per-weight steps) shaped like the trained parameters.
+ignored for that solver.
+
+A solver is built for a list of tensor shapes and updates a list of
+parameter tensors of those shapes in place. Training passes a single
+tensor, the network's flat parameter vector (see network.MaskedMLP), so
+one step is one finiteness check and one pass of the rule over every
+parameter. States hold per-tensor slot arrays (moments, accumulators,
+per-weight steps) shaped like the trained parameters, plus SCRATCH work
+arrays per tensor: every update is written with in-place ufuncs into
+those, so the rule allocates no parameter-sized temporary and a step
+never writes into the gradients it is given. Each in-place form keeps
+the order of every floating-point operation of the rule's expression (up
+to swapping the operands of a product or a sum), so it gives the same
+bits.
 """
 
 from dataclasses import dataclass, field
@@ -89,8 +101,34 @@ def _zeros(shapes):
     return [np.zeros(s) for s in shapes]
 
 
+def _ema(avg, decay, x, tmp):
+    """avg = decay * avg + (1 - decay) * x, in place."""
+    avg *= decay
+    np.multiply(x, 1 - decay, out=tmp)
+    avg += tmp
+
+
+def _ema_sq(avg, decay, x, tmp):
+    """avg = decay * avg + (1 - decay) * x * x, in place."""
+    avg *= decay
+    np.multiply(x, 1 - decay, out=tmp)
+    tmp *= x
+    avg += tmp
+
+
+def _adaptive_update(w, step, v, v_scale, tmp):
+    """w -= step / (sqrt(v / v_scale) + EPS); step is overwritten."""
+    np.divide(v, v_scale, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += EPS
+    step /= tmp
+    w -= step
+
+
 class _SolverState:
-    """Shared step-counting and weight-decay plumbing."""
+    """Shared step-counting, scratch and weight-decay plumbing."""
+
+    SCRATCH = 2  # work arrays per tensor that the rule's _apply receives
 
     def __init__(self, params, shapes):
         self.p = dict(params)
@@ -101,36 +139,52 @@ class _SolverState:
                 self.p[key] = min(self.p[key], 1.0 - 1e-8)
         self.shapes = shapes
         self.t = 0
+        self.scratch = [tuple(np.empty(s) for _ in range(self.SCRATCH))
+                        for s in shapes]
 
-    def _decayed(self, param, grad):
+    def _decayed(self, param, grad, out):
+        """grad + weight_decay * param, written into out; grad itself
+        when there is no decay."""
         wd = self.p.get("weight_decay", 0.0)
         if wd:
-            return grad + wd * param
+            np.multiply(param, wd, out=out)
+            out += grad
+            return out
         return grad
+
+    def _advance(self):
+        """Per-step scalars shared by every tensor, after t moves on."""
 
     def step(self, params, grads):
         """Apply one update in place; returns params for chaining."""
         _check_grads(grads)
         self.t += 1
+        self._advance()
         for i, (w, g) in enumerate(zip(params, grads)):
-            self._apply(i, w, np.asarray(g, dtype=float))
+            self._apply(i, w, np.asarray(g, dtype=float), *self.scratch[i])
         return params
 
 
-class Adam(_SolverState):
+class _Moments(_SolverState):
+    """First moment m and second statistic v, as the Adam family keeps."""
+
     def __init__(self, params, shapes):
         super().__init__(params, shapes)
         self.m = _zeros(shapes)
         self.v = _zeros(shapes)
 
-    def _apply(self, i, w, g):
+
+class Adam(_Moments):
+    def _apply(self, i, w, g, s1, s2):
+        self._adam(i, w, self._decayed(w, g, s1), s1, s2)
+
+    def _adam(self, i, w, g, s1, s2):
         lr, b1, b2 = self.p["learning_rate"], self.p["beta1"], self.p["beta2"]
-        g = self._decayed(w, g)
-        self.m[i] = b1 * self.m[i] + (1 - b1) * g
-        self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-        m_hat = self.m[i] / (1 - b1 ** self.t)
-        v_hat = self.v[i] / (1 - b2 ** self.t)
-        w -= lr * m_hat / (np.sqrt(v_hat) + EPS)
+        _ema(self.m[i], b1, g, s2)
+        _ema_sq(self.v[i], b2, g, s2)
+        np.divide(self.m[i], 1 - b1 ** self.t, out=s1)
+        s1 *= lr
+        _adaptive_update(w, s1, self.v[i], 1 - b2 ** self.t, s2)
 
 
 class Adadelta(_SolverState):
@@ -139,127 +193,115 @@ class Adadelta(_SolverState):
         self.sq_avg = _zeros(shapes)
         self.acc_delta = _zeros(shapes)
 
-    def _apply(self, i, w, g):
+    def _apply(self, i, w, g, s1, s2):
         lr, rho = self.p["learning_rate"], self.p["rho"]
-        g = self._decayed(w, g)
-        self.sq_avg[i] = rho * self.sq_avg[i] + (1 - rho) * g * g
-        delta = g * np.sqrt(self.acc_delta[i] + ADADELTA_EPS) \
-            / np.sqrt(self.sq_avg[i] + ADADELTA_EPS)
-        self.acc_delta[i] = rho * self.acc_delta[i] + (1 - rho) * delta * delta
-        w -= lr * delta
+        g = self._decayed(w, g, s1)
+        _ema_sq(self.sq_avg[i], rho, g, s2)
+        # delta = g * sqrt(acc_delta + eps) / sqrt(sq_avg + eps), into s2
+        np.add(self.acc_delta[i], ADADELTA_EPS, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 *= g
+        np.add(self.sq_avg[i], ADADELTA_EPS, out=s1)
+        np.sqrt(s1, out=s1)
+        s2 /= s1
+        _ema_sq(self.acc_delta[i], rho, s2, s1)
+        s2 *= lr
+        w -= s2
 
 
-class AdamW(_SolverState):
+class AdamW(Adam):
     """Adam with the weight decay decoupled from the moments."""
 
-    def __init__(self, params, shapes):
-        super().__init__(params, shapes)
-        self.m = _zeros(shapes)
-        self.v = _zeros(shapes)
-
-    def _apply(self, i, w, g):
-        lr, b1, b2 = self.p["learning_rate"], self.p["beta1"], self.p["beta2"]
+    def _apply(self, i, w, g, s1, s2):
         wd = self.p["weight_decay"]
         if wd:
-            w *= 1 - lr * wd
-        self.m[i] = b1 * self.m[i] + (1 - b1) * g
-        self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-        m_hat = self.m[i] / (1 - b1 ** self.t)
-        v_hat = self.v[i] / (1 - b2 ** self.t)
-        w -= lr * m_hat / (np.sqrt(v_hat) + EPS)
+            w *= 1 - self.p["learning_rate"] * wd
+        self._adam(i, w, g, s1, s2)
 
 
-class Adamax(_SolverState):
-    """Adam's infinity-norm variant: v becomes a running max."""
+class Adamax(_Moments):
+    """Adam's infinity-norm variant: v is a running max of |g|."""
 
-    def __init__(self, params, shapes):
-        super().__init__(params, shapes)
-        self.m = _zeros(shapes)
-        self.u = _zeros(shapes)
-
-    def _apply(self, i, w, g):
+    def _apply(self, i, w, g, s1, s2):
         lr, b1, b2 = self.p["learning_rate"], self.p["beta1"], self.p["beta2"]
-        g = self._decayed(w, g)
-        self.m[i] = b1 * self.m[i] + (1 - b1) * g
-        self.u[i] = np.maximum(b2 * self.u[i], np.abs(g))
-        w -= (lr / (1 - b1 ** self.t)) * self.m[i] / (self.u[i] + EPS)
+        g = self._decayed(w, g, s1)
+        _ema(self.m[i], b1, g, s2)
+        self.v[i] *= b2
+        np.abs(g, out=s2)
+        np.maximum(self.v[i], s2, out=self.v[i])
+        np.multiply(self.m[i], lr / (1 - b1 ** self.t), out=s1)
+        np.add(self.v[i], EPS, out=s2)
+        s1 /= s2
+        w -= s1
 
 
 class ASGD(_SolverState):
-    """SGD with a decaying step and Polyak-averaged iterates. The averages
-    are kept in `ax` for inspection; updates train the current iterate."""
+    """SGD with a decaying step and a shrink of the weights, as in
+    averaged SGD. Training and scoring use the current iterate, so the
+    Polyak average of the iterates is not kept."""
 
     ALPHA = 0.75
+    SCRATCH = 1
 
-    def __init__(self, params, shapes):
-        super().__init__(params, shapes)
-        self.ax = _zeros(shapes)
-
-    def _apply(self, i, w, g):
+    def _apply(self, i, w, g, s1):
         lr, lam = self.p["learning_rate"], self.p["lambda"]
-        g = self._decayed(w, g)
+        g = self._decayed(w, g, s1)
         # the step-size schedule lags one step: the first update uses lr
         eta = lr / (1 + lam * lr * (self.t - 1)) ** self.ALPHA
         w *= 1 - lam * eta
-        w -= eta * g
-        self.ax[i] += (w - self.ax[i]) / self.t
+        np.multiply(g, eta, out=s1)
+        w -= s1
 
 
-class NAdam(_SolverState):
+class NAdam(_Moments):
     """Adam with Nesterov momentum; "lambda" is the momentum-decay rate."""
 
     def __init__(self, params, shapes):
         super().__init__(params, shapes)
-        self.m = _zeros(shapes)
-        self.v = _zeros(shapes)
         self.mu_prod = 1.0
 
-    def step(self, params, grads):
-        _check_grads(grads)
-        self.t += 1
+    def _advance(self):
         b1, psi = self.p["beta1"], self.p["lambda"]
-        mu_t = b1 * (1 - 0.5 * 0.96 ** (self.t * psi))
-        mu_next = b1 * (1 - 0.5 * 0.96 ** ((self.t + 1) * psi))
-        self.mu_prod *= mu_t
-        for i, (w, g) in enumerate(zip(params, grads)):
-            self._apply(i, w, np.asarray(g, dtype=float), mu_t, mu_next)
-        return params
+        self.mu_t = b1 * (1 - 0.5 * 0.96 ** (self.t * psi))
+        self.mu_next = b1 * (1 - 0.5 * 0.96 ** ((self.t + 1) * psi))
+        self.mu_prod *= self.mu_t
 
-    def _apply(self, i, w, g, mu_t, mu_next):
+    def _apply(self, i, w, g, s1, s2):
         lr, b1, b2 = self.p["learning_rate"], self.p["beta1"], self.p["beta2"]
-        g = self._decayed(w, g)
-        self.m[i] = b1 * self.m[i] + (1 - b1) * g
-        self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-        m_hat = (mu_next * self.m[i] / (1 - self.mu_prod * mu_next)
-                 + (1 - mu_t) * g / (1 - self.mu_prod))
-        v_hat = self.v[i] / (1 - b2 ** self.t)
-        w -= lr * m_hat / (np.sqrt(v_hat) + EPS)
+        g = self._decayed(w, g, s1)
+        _ema(self.m[i], b1, g, s2)
+        _ema_sq(self.v[i], b2, g, s2)
+        # m_hat = mu_next * m / (1 - mu_prod * mu_next)
+        #         + (1 - mu_t) * g / (1 - mu_prod), into s2
+        np.multiply(g, 1 - self.mu_t, out=s1)
+        s1 /= 1 - self.mu_prod
+        np.multiply(self.m[i], self.mu_next, out=s2)
+        s2 /= 1 - self.mu_prod * self.mu_next
+        s2 += s1
+        s2 *= lr
+        _adaptive_update(w, s2, self.v[i], 1 - b2 ** self.t, s1)
 
 
-class RAdam(_SolverState):
+class RAdam(_Moments):
     """Rectified Adam: falls back to un-adapted steps while the variance
     estimate is untrustworthy (rho_t <= 5, as in the reference code)."""
 
-    def __init__(self, params, shapes):
-        super().__init__(params, shapes)
-        self.m = _zeros(shapes)
-        self.v = _zeros(shapes)
-
-    def _apply(self, i, w, g):
+    def _apply(self, i, w, g, s1, s2):
         lr, b1, b2 = self.p["learning_rate"], self.p["beta1"], self.p["beta2"]
-        g = self._decayed(w, g)
-        self.m[i] = b1 * self.m[i] + (1 - b1) * g
-        self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-        m_hat = self.m[i] / (1 - b1 ** self.t)
+        g = self._decayed(w, g, s1)
+        _ema(self.m[i], b1, g, s2)
+        _ema_sq(self.v[i], b2, g, s2)
+        np.divide(self.m[i], 1 - b1 ** self.t, out=s1)
         rho_inf = 2 / (1 - b2) - 1
         rho_t = rho_inf - 2 * self.t * b2 ** self.t / (1 - b2 ** self.t)
         if rho_t > 5:
-            v_hat = self.v[i] / (1 - b2 ** self.t)
             r = np.sqrt((rho_t - 4) * (rho_t - 2) * rho_inf
                         / ((rho_inf - 4) * (rho_inf - 2) * rho_t))
-            w -= lr * r * m_hat / (np.sqrt(v_hat) + EPS)
+            s1 *= lr * r
+            _adaptive_update(w, s1, self.v[i], 1 - b2 ** self.t, s2)
         else:
-            w -= lr * m_hat
+            s1 *= lr
+            w -= s1
 
 
 class RMSprop(_SolverState):
@@ -270,17 +312,21 @@ class RMSprop(_SolverState):
         self.sq_avg = _zeros(shapes)
         self.buf = _zeros(shapes)
 
-    def _apply(self, i, w, g):
+    def _apply(self, i, w, g, s1, s2):
         lr, rho, mom = (self.p["learning_rate"], self.p["rho"],
                         self.p["momentum"])
-        g = self._decayed(w, g)
-        self.sq_avg[i] = rho * self.sq_avg[i] + (1 - rho) * g * g
-        scaled = g / (np.sqrt(self.sq_avg[i]) + EPS)
+        g = self._decayed(w, g, s1)
+        _ema_sq(self.sq_avg[i], rho, g, s2)
+        np.sqrt(self.sq_avg[i], out=s2)
+        s2 += EPS
+        np.divide(g, s2, out=s1)
         if mom:
-            self.buf[i] = mom * self.buf[i] + scaled
-            w -= lr * self.buf[i]
+            self.buf[i] *= mom
+            self.buf[i] += s1
+            np.multiply(self.buf[i], lr, out=s1)
         else:
-            w -= lr * scaled
+            s1 *= lr
+        w -= s1
 
 
 class Rprop(_SolverState):
@@ -291,38 +337,50 @@ class Rprop(_SolverState):
     ETA_MINUS = 0.5
     STEP_MIN = 1e-6
     STEP_MAX = 50.0
+    SCRATCH = 1
 
     def __init__(self, params, shapes):
         super().__init__(params, shapes)
         self.step_size = [np.full(s, params["learning_rate"]) for s in shapes]
         self.prev_grad = _zeros(shapes)
+        self.masks = [(np.empty(s, dtype=bool), np.empty(s, dtype=bool))
+                      for s in shapes]
 
-    def _apply(self, i, w, g):
-        sign = self.prev_grad[i] * g
-        grew = sign > 0
-        shrank = sign < 0
-        self.step_size[i][grew] = np.minimum(
-            self.step_size[i][grew] * self.ETA_PLUS, self.STEP_MAX)
-        self.step_size[i][shrank] = np.maximum(
-            self.step_size[i][shrank] * self.ETA_MINUS, self.STEP_MIN)
-        g = np.where(shrank, 0.0, g)
-        w -= np.sign(g) * self.step_size[i]
-        self.prev_grad[i] = g
+    def _apply(self, i, w, g, s1):
+        step, prev = self.step_size[i], self.prev_grad[i]
+        grew, shrank = self.masks[i]
+        np.multiply(prev, g, out=s1)
+        np.greater(s1, 0, out=grew)
+        np.less(s1, 0, out=shrank)
+        np.multiply(step, self.ETA_PLUS, out=step, where=grew)
+        np.minimum(step, self.STEP_MAX, out=step, where=grew)
+        np.multiply(step, self.ETA_MINUS, out=step, where=shrank)
+        np.maximum(step, self.STEP_MIN, out=step, where=shrank)
+        # a sign flip skips the weight's update and forgets its gradient
+        np.copyto(prev, g)
+        np.copyto(prev, 0.0, where=shrank)
+        np.sign(prev, out=s1)
+        s1 *= step
+        w -= s1
 
 
 class SGD(_SolverState):
+    SCRATCH = 1
+
     def __init__(self, params, shapes):
         super().__init__(params, shapes)
         self.buf = _zeros(shapes)
 
-    def _apply(self, i, w, g):
+    def _apply(self, i, w, g, s1):
         lr, mom = self.p["learning_rate"], self.p["momentum"]
-        g = self._decayed(w, g)
+        g = self._decayed(w, g, s1)
         if mom:
-            self.buf[i] = mom * self.buf[i] + g
-            w -= lr * self.buf[i]
+            self.buf[i] *= mom
+            self.buf[i] += g
+            np.multiply(self.buf[i], lr, out=s1)
         else:
-            w -= lr * g
+            np.multiply(g, lr, out=s1)
+        w -= s1
 
 
 _SOLVER_CLASSES = {

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from evomlp.cli import main
+from evomlp.cli import load_config, main
 from evomlp.data import read_dataset_csv
 
 RAW_TRACE = """timestamp,battery_state,battery_level,cpu,wifi
@@ -145,6 +145,25 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "b"), "--quiet"])
     assert code == 2
     assert "typo_key" in capsys.readouterr().err
+
+
+def test_space_solver_count_is_loaded(tmp_path):
+    cfg, _ = load_config(tiny_config(
+        tmp_path, space={"max_layers": 2, "solver_count": 3}))
+    assert cfg.space.solver_count == 3
+    bad = tiny_config(tmp_path, space={"max_layers": 2, "solver_count": 11})
+    assert main(["benchmark", "--config", str(bad),
+                 "--out", str(tmp_path / "b"), "--quiet"]) == 2
+
+
+def test_max_layers_beyond_space_exits_2(tmp_path, capsys):
+    cfg = tiny_config(tmp_path, max_layers=3, space={"max_layers": 2})
+    out = tmp_path / "b"
+    code = main(["benchmark", "--config", str(cfg), "--out", str(out),
+                 "--quiet"])
+    assert code == 2
+    assert "max_layers 3 exceeds space.max_layers 2" in capsys.readouterr().err
+    assert not (out / "results.jsonl").exists()
 
 
 def test_benchmark_deterministic_byte_identical(tmp_path):

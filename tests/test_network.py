@@ -198,7 +198,9 @@ def test_init_is_seeded_and_biases_zero():
 def test_serialization_round_trip():
     net = init_network([7, 3], 5, seed=13,
                        solver_meta={"solver_id": 9, "name": "Rprop"})
+    net.flat += np.random.default_rng(1).normal(size=net.flat.size)
     clone = MaskedMLP.from_dict(net.to_dict())
+    assert np.array_equal(net.flat, clone.flat)
     for wa, wb in zip(net.weights, clone.weights):
         assert np.array_equal(wa, wb)
     for ba, bb in zip(net.biases, clone.biases):
@@ -215,3 +217,29 @@ def test_shape_mismatch_raises():
     with pytest.raises(ValueError):
         MaskedMLP(weights=[np.zeros((3, 4)), np.zeros((5, 3))],
                   biases=[np.zeros(4), np.zeros(3)])
+
+
+def test_weights_and_biases_alias_flat():
+    net = init_network([5, 4], 3, seed=2)
+    assert net.flat.size == sum(p.size for p in net.params)
+    for p in net.params:
+        assert np.shares_memory(p, net.flat)
+    net.flat[:] = np.arange(net.flat.size)
+    # layout [W1, b1, W2, b2, W3, b3], each matrix row-major
+    assert np.array_equal(net.weights[0].ravel(), np.arange(15))
+    assert np.array_equal(net.biases[0], np.arange(15, 20))
+    net.biases[-1][:] = -1.0
+    assert np.all(net.flat[-3:] == -1.0)
+
+
+def test_gradients_written_into_buffer():
+    rng = np.random.default_rng(5)
+    net, X, M, y = _random_case(rng)
+    loss, fresh = loss_and_gradients(net, X, M, y)
+    out = np.full(net.flat.size, np.nan)
+    again, views = loss_and_gradients(net, X, M, y, out=out)
+    assert again == loss
+    assert np.array_equal(out, np.concatenate([g.ravel() for g in fresh]))
+    for v, g, p in zip(views, fresh, net.params):
+        assert np.shares_memory(v, out)
+        assert v.shape == g.shape == p.shape

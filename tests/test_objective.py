@@ -54,6 +54,34 @@ def test_stratified_folds_partition():
         assert np.all(np.abs(counts - overall) <= 1.5)
 
 
+def _loop_folds(y, k, rng):
+    """Reference: the per-row dealing loop the vectorized version
+    replaced."""
+    folds = [[] for _ in range(k)]
+    offset = 0
+    for c in np.unique(y):
+        idx = np.flatnonzero(y == c)
+        idx = idx[rng.permutation(idx.size)]
+        for j, row in enumerate(idx):
+            folds[(offset + j) % k].append(row)
+        offset += idx.size
+    return [np.sort(np.array(f, dtype=int)) for f in folds]
+
+
+def test_stratified_folds_match_dealing_loop():
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 80))
+        y = rng.integers(0, 4, size=n)
+        k = int(rng.integers(2, 11))
+        fast = stratified_folds(y, k, np.random.default_rng(seed))
+        slow = _loop_folds(y, k, np.random.default_rng(seed))
+        assert len(fast) == len(slow) == k
+        for a, b in zip(fast, slow):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+
 @pytest.fixture(scope="module")
 def blob_data():
     return synthesize(120, 6, 3, separation=5.0, seed=3)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from evomlp.genome import Genome, SearchSpace, random_genome
-from evomlp.pbmh import (ALGORITHM_NAMES, ConfigError, OptimizerConfig,
+from evomlp.pbmh import (ALGORITHM_NAMES, ConfigError,
+                         NonFiniteObjectiveError, OptimizerConfig,
                          algorithm_constants, minimize, optimize_stage)
 from evomlp.pbmh.core import tournament
 from evomlp.pbmh.de import lshade_population_size
@@ -60,6 +61,20 @@ def test_incumbent_is_min_of_trace():
         assert sphere(r.x) == pytest.approx(r.fitness), alg
         inc = r.incumbent_trace()
         assert np.all(np.diff(inc) <= 0), alg
+
+
+def test_non_finite_objective_raises_all_algorithms():
+    for alg in ALGORITHM_NAMES:
+        for bad in (np.nan, np.inf):
+            calls = []
+
+            def spoiled(x):
+                calls.append(1)
+                return bad if len(calls) == 3 else sphere(x)
+
+            with pytest.raises(NonFiniteObjectiveError,
+                               match=f"{bad} at evaluation index 2"):
+                minimize(alg, spoiled, LO10, HI10, 6, 30, seed=0)
 
 
 def test_seed_determinism():

@@ -216,3 +216,50 @@ def test_updates_match_torch_reference():
             opt.step()
         diff = np.max(np.abs(mine - t.detach().numpy()))
         assert diff < 1e-8, (SOLVER_NAMES[solver_id], diff)
+
+
+def _rule_cases():
+    """Every solver id with its decay and momentum genes both zero and
+    both non-zero (only the ones the rule consumes)."""
+    for solver_id in SOLVER_NAMES:
+        for wd, mom in ((0.0, 0.0), (0.03, 0.6)):
+            params = selective_exclusion(solver_id, mid_range_hyper())
+            params["learning_rate"] = 0.05
+            for key, value in (("weight_decay", wd), ("momentum", mom)):
+                if key in params:
+                    params[key] = value
+            yield solver_id, params
+
+
+def test_multi_tensor_and_flat_steps_agree_bitwise():
+    rng = np.random.default_rng(2)
+    shapes = [(3, 4), (4,), (4, 2), (2,)]
+    sizes = [int(np.prod(s)) for s in shapes]
+    for solver_id, params in _rule_cases():
+        split = make_solver(SolverSpec(solver_id, dict(params)), shapes)
+        flat = make_solver(SolverSpec(solver_id, dict(params)),
+                           [(sum(sizes),)])
+        tensors = [rng.normal(size=s) for s in shapes]
+        vector = np.concatenate([t.ravel() for t in tensors])
+        for _ in range(20):
+            grads = [rng.normal(size=s) for s in shapes]
+            split.step(tensors, grads)
+            flat.step([vector],
+                      [np.concatenate([g.ravel() for g in grads])])
+        assert np.array_equal(
+            np.concatenate([t.ravel() for t in tensors]), vector), \
+            (SOLVER_NAMES[solver_id], params)
+
+
+def test_step_leaves_gradients_unchanged():
+    rng = np.random.default_rng(3)
+    shapes = [(3, 4), (4,)]
+    for solver_id, params in _rule_cases():
+        solver = make_solver(SolverSpec(solver_id, params), shapes)
+        tensors = [rng.normal(size=s) for s in shapes]
+        grads = [rng.normal(size=s) for s in shapes]
+        before = [g.copy() for g in grads]
+        for _ in range(3):
+            solver.step(tensors, grads)
+        for g, b in zip(grads, before):
+            assert np.array_equal(g, b), SOLVER_NAMES[solver_id]
