@@ -26,7 +26,7 @@ out.mkdir(exist_ok=True)
 
 ds = synthesize(300, 10, 3, separation=4.0, seed=2)
 cfg = SearchConfig(
-    max_layers=2, stage_budget=8, population_size=4, repeats=2,
+    stage_budget=8, population_size=4, repeats=2,
     missing_rates=(0.0, 0.4), algorithms=("DE", "PSO", "CMA-ES"),
     eval=EvalConfig(folds=3, epochs=30, batch_size=32, seed=0),
     master_seed=5,

@@ -10,81 +10,77 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import data, driver, report, stats
 from .genome import SearchSpace
 from .objective import EvalConfig
-from .pbmh import ALGORITHM_NAMES, ConfigError, canonical_name
+from .pbmh import ConfigError, canonical_name
+from .seeding import derive_seed
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_PARTIAL = 3
 
-_EVAL_KEYS = {"folds", "epochs", "batch_size", "seed"}
-_SPACE_KEYS = {"neuron_min", "neuron_max", "max_layers", "solver_count"}
-_CONFIG_KEYS = {"algorithms", "max_layers", "stage_budget",
-                "population_size", "repeats", "missing_rates", "eval",
-                "master_seed", "space", "dataset"}
 _DATASET_KEYS = {"type", "n", "p", "classes", "separation", "seed",
                  "path", "mask"}
 
 
 def _check_keys(mapping, allowed, context):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{context} must be a JSON object")
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(
             f"unknown {context} keys: {', '.join(sorted(unknown))}")
 
 
+def _build(cls, raw, context):
+    """cls(**raw), with raw's keys checked against the dataclass fields;
+    the dataclass supplies every default."""
+    _check_keys(raw, {f.name for f in fields(cls)}, context)
+    try:
+        return cls(**raw)
+    except TypeError as exc:
+        raise ConfigError(f"invalid {context} value: {exc}") from None
+
+
 def load_config(path):
-    """Parse a config JSON into (SearchConfig, dataset_spec)."""
+    """Parse a config JSON into (SearchConfig, dataset_spec).
+
+    Keys and defaults are the fields of SearchConfig, EvalConfig ("eval")
+    and SearchSpace ("space"). A top-level "max_layers" caps layer growth:
+    it fills space.max_layers when the space omits it, lowers it when
+    smaller, and may not exceed it.
+    """
     with open(path) as fh:
         raw = json.load(fh)
-    _check_keys(raw, _CONFIG_KEYS, "config")
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    dataset_spec = raw.pop("dataset", None)
+    max_layers = raw.pop("max_layers", None)
 
-    eval_raw = raw.get("eval", {})
-    _check_keys(eval_raw, _EVAL_KEYS, "eval")
-    eval_cfg = EvalConfig(
-        folds=eval_raw.get("folds", 10),
-        epochs=eval_raw.get("epochs", 50),
-        batch_size=eval_raw.get("batch_size", 32),
-        seed=eval_raw.get("seed", 0),
-    )
-
-    max_layers = raw.get("max_layers", 8)
     space_raw = raw.get("space", {})
-    _check_keys(space_raw, _SPACE_KEYS, "space")
-    space = SearchSpace(
-        neuron_min=space_raw.get("neuron_min", 1),
-        neuron_max=space_raw.get("neuron_max", 400),
-        max_layers=space_raw.get("max_layers", max_layers),
-        solver_count=space_raw.get("solver_count", 10),
-    )
-    if max_layers > space.max_layers:
-        # layer growth would run out of genome capacity in every cell
-        raise ConfigError(
-            f"max_layers {max_layers} exceeds space.max_layers "
-            f"{space.max_layers}")
+    space = _build(SearchSpace, space_raw, "space")
+    if max_layers is not None:
+        capped = _build(SearchSpace, dict(space_raw, max_layers=max_layers),
+                        "space")
+        if "max_layers" in space_raw and capped.max_layers > space.max_layers:
+            # layer growth would run out of genome capacity in every cell
+            raise ConfigError(
+                f"max_layers {max_layers} exceeds space.max_layers "
+                f"{space.max_layers}")
+        space = capped
+    raw["space"] = space
+    raw["eval"] = _build(EvalConfig, raw.get("eval", {}), "eval")
+    if "algorithms" in raw:
+        raw["algorithms"] = tuple(canonical_name(a) for a in raw["algorithms"])
+    if "missing_rates" in raw:
+        raw["missing_rates"] = tuple(raw["missing_rates"])
+    cfg = _build(driver.SearchConfig, raw, "config")
 
-    algorithms = tuple(canonical_name(a)
-                       for a in raw.get("algorithms", ALGORITHM_NAMES))
-    cfg = driver.SearchConfig(
-        max_layers=max_layers,
-        stage_budget=raw.get("stage_budget", 30),
-        population_size=raw.get("population_size", 10),
-        repeats=raw.get("repeats", 10),
-        missing_rates=tuple(raw.get("missing_rates",
-                                    (0.0, 0.05, 0.2, 0.4))),
-        algorithms=algorithms,
-        eval=eval_cfg,
-        master_seed=raw.get("master_seed", 0),
-        space=space,
-    )
-
-    dataset_spec = raw.get("dataset")
     if dataset_spec is not None:
         _check_keys(dataset_spec, _DATASET_KEYS, "dataset")
     return cfg, dataset_spec
@@ -167,7 +163,7 @@ def cmd_search(args):
         ds = data.as_masked(load_dataset(dataset_spec))
     record = driver.layer_growth_search(
         algorithm, ds, cfg,
-        seed=driver.seed_derive(cfg.master_seed, "search", algorithm),
+        seed=derive_seed(cfg.master_seed, "search", algorithm),
         deterministic=args.deterministic)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "run.json")
@@ -367,13 +363,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, data.SchemaError, data.RowParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
+        # ConfigError, the data errors and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,6 +1,6 @@
 """Layer-growth search per algorithm and the full benchmark grid.
 
-A run sweeps the hidden-layer count from 1 to max_layers, spending a
+A run sweeps the hidden-layer count from 1 to space.max_layers, spending a
 fixed evaluation budget per count; the incumbent best genome is grown to
 the new layer count and injected into each next stage. The benchmark
 crosses algorithms x missing rates x repeats, with one fixed mask per
@@ -10,7 +10,7 @@ rate so every algorithm faces identical missingness.
 import json
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -18,15 +18,18 @@ from . import objective
 from .data import LabeledDataset, as_masked, inject_missing
 from .genome import SearchSpace, decode, grow
 from .objective import EvalConfig
-from .pbmh import ALGORITHM_NAMES, OptimizerConfig, optimize_stage
+from .pbmh import (ALGORITHM_NAMES, ConfigError, OptimizerConfig,
+                   optimize_stage)
 from .seeding import derive_seed
-
-seed_derive = derive_seed  # public alias: the driver owns seed derivation
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    max_layers: int = 8
+    """One benchmark: the grid, the search budget and the space searched.
+
+    Layer growth runs space.max_layers stages of stage_budget evaluations.
+    """
+
     stage_budget: int = 30
     population_size: int = 10
     repeats: int = 10
@@ -35,6 +38,14 @@ class SearchConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
     master_seed: int = 0
     space: SearchSpace = field(default_factory=SearchSpace)
+
+    def __post_init__(self):
+        if self.population_size < 4:
+            raise ConfigError("population_size must be >= 4")
+        if self.stage_budget < self.population_size:
+            raise ConfigError(
+                f"stage_budget {self.stage_budget} smaller than "
+                f"population_size {self.population_size}")
 
 
 @dataclass
@@ -54,42 +65,15 @@ class RunRecord:
     error: str = None
 
     def to_dict(self):
-        d = {
-            "algorithm": self.algorithm,
-            "missing_rate": self.missing_rate,
-            "repeat": self.repeat,
-            "fitness": self.fitness,
-            "accuracy": self.accuracy,
-            "f_measure": self.f_measure,
-            "architecture": self.architecture,
-            "genome": self.genome,
-            "stage_traces": self.stage_traces,
-            "n_evaluations": self.n_evaluations,
-            "seed": self.seed,
-        }
-        if self.wall_time is not None:
-            d["wall_time"] = self.wall_time
-        if self.error is not None:
-            d["error"] = self.error
+        d = asdict(self)
+        for key in ("wall_time", "error"):
+            if d[key] is None:
+                del d[key]
         return d
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            algorithm=d["algorithm"],
-            missing_rate=d["missing_rate"],
-            repeat=d["repeat"],
-            fitness=d["fitness"],
-            accuracy=d["accuracy"],
-            f_measure=d["f_measure"],
-            architecture=d["architecture"],
-            genome=d["genome"],
-            stage_traces=d["stage_traces"],
-            n_evaluations=d["n_evaluations"],
-            seed=d["seed"],
-            wall_time=d.get("wall_time"),
-            error=d.get("error"),
-        )
+        return cls(**d)
 
 
 class _BestTracker:
@@ -122,7 +106,7 @@ def _grow_to(genome, space, n_layers, rng):
 
 
 def layer_growth_search(algorithm, ds, cfg, seed, deterministic=False):
-    """One full run: max_layers stages, stage_budget evaluations each.
+    """One full run: space.max_layers stages of stage_budget evaluations.
 
     Returns a RunRecord for the best genome over all stages; fitness and
     the reported accuracy/F-measure come from the same evaluation.
@@ -130,7 +114,7 @@ def layer_growth_search(algorithm, ds, cfg, seed, deterministic=False):
     started = time.perf_counter()
     tracker = _BestTracker(ds, cfg.eval, cfg.space)
     stage_traces = []
-    for n_layers in range(1, cfg.max_layers + 1):
+    for n_layers in range(1, cfg.space.max_layers + 1):
         warm = None
         if tracker.best_genome is not None:
             warm = _grow_to(tracker.best_genome, cfg.space, n_layers,
@@ -144,7 +128,7 @@ def layer_growth_search(algorithm, ds, cfg, seed, deterministic=False):
             cfg.space, n_layers, tracker, warm_start=warm)
         stage_traces.append(list(stage.trace))
 
-    expected = cfg.max_layers * cfg.stage_budget
+    expected = cfg.space.max_layers * cfg.stage_budget
     if tracker.calls != expected:
         raise RuntimeError(
             f"evaluation ledger mismatch: {tracker.calls} != {expected}")
@@ -201,6 +185,10 @@ def run_benchmark(ds, cfg, out_path=None, deterministic=False,
     """
     if not isinstance(ds, LabeledDataset):
         raise TypeError("run_benchmark expects a complete LabeledDataset")
+    if ds.n < cfg.eval.folds:
+        # every cell would fail in its first evaluation
+        raise ConfigError(
+            f"dataset has {ds.n} rows, fewer than {cfg.eval.folds} folds")
 
     tasks = []
     for rate in cfg.missing_rates:
@@ -244,7 +232,7 @@ def desk_config(algorithms=("DE", "PSO", "CMA-ES"), master_seed=0):
     Narrow networks train to their ceiling within the epoch budget, so
     the whole grid stays desk-scale."""
     return SearchConfig(
-        max_layers=2, stage_budget=10, population_size=6, repeats=3,
+        stage_budget=10, population_size=6, repeats=3,
         missing_rates=(0.0, 0.4), algorithms=tuple(algorithms),
         eval=EvalConfig(folds=3, epochs=60, batch_size=32, seed=0),
         master_seed=master_seed,
@@ -264,34 +252,15 @@ def load_records(path):
 
 def config_manifest(cfg, deterministic=False):
     """Everything needed to reproduce a benchmark, minus timestamps."""
+    from . import __version__
     from .pbmh import algorithm_constants
     from .solvers import SOLVER_NAMES
 
     manifest = {
-        "config": {
-            "max_layers": cfg.max_layers,
-            "stage_budget": cfg.stage_budget,
-            "population_size": cfg.population_size,
-            "repeats": cfg.repeats,
-            "missing_rates": list(cfg.missing_rates),
-            "algorithms": list(cfg.algorithms),
-            "eval": {
-                "folds": cfg.eval.folds,
-                "epochs": cfg.eval.epochs,
-                "batch_size": cfg.eval.batch_size,
-                "seed": cfg.eval.seed,
-            },
-            "master_seed": cfg.master_seed,
-            "space": {
-                "neuron_min": cfg.space.neuron_min,
-                "neuron_max": cfg.space.neuron_max,
-                "max_layers": cfg.space.max_layers,
-                "solver_count": cfg.space.solver_count,
-            },
-        },
+        "config": asdict(cfg),
         "algorithm_constants": algorithm_constants(),
         "solver_names": {str(k): v for k, v in SOLVER_NAMES.items()},
-        "version": "0.1.0",
+        "version": __version__,
     }
     if not deterministic:
         manifest["created"] = time.strftime("%Y-%m-%dT%H:%M:%S")

@@ -85,9 +85,6 @@ class StageResult:
     best_fitness: float
     trace: tuple
 
-    def incumbent_trace(self):
-        return np.minimum.accumulate(np.array(self.trace))
-
 
 def minimize(algorithm, fn, lower, upper, population_size, budget, seed,
              x0=None):

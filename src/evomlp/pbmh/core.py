@@ -79,16 +79,12 @@ class Budget:
         return self.used / self.limit
 
 
-def clip(x, lo, hi):
-    return np.clip(x, lo, hi)
-
-
 def init_population(budget, lo, hi, pop_size, rng, x0=None):
     """Uniform initial population; x0 (if given) replaces member 0."""
     d = lo.size
     X = rng.uniform(lo, hi, size=(pop_size, d))
     if x0 is not None:
-        X[0] = clip(np.asarray(x0, dtype=float), lo, hi)
+        X[0] = np.clip(np.asarray(x0, dtype=float), lo, hi)
     f = np.empty(pop_size)
     for i in range(pop_size):
         f[i] = budget.eval(X[i])

@@ -7,7 +7,7 @@ with an external archive and per-member adapted F/CR.
 
 import numpy as np
 
-from .core import binomial_crossover, clip, distinct_indices, init_population
+from .core import binomial_crossover, distinct_indices, init_population
 
 DE_CONSTANTS = {
     "weighting_factor": 0.8,
@@ -46,7 +46,7 @@ def run_de(budget, lo, hi, pop_size, rng, x0=None):
         for i in range(pop_size):
             if budget.exhausted:
                 break
-            trial = clip(binomial_crossover(
+            trial = np.clip(binomial_crossover(
                 arr[i], _mutant_ctr1(arr, i, rng, F), CR, rng), lo, hi)
             tf = budget.eval(trial)
             if tf <= farr[i]:
@@ -77,7 +77,7 @@ def run_sapde(budget, lo, hi, pop_size, rng, x0=None):
                 break
             r1, r2, r3 = distinct_indices(rng, n, 3, {i})
             donor = arr[i] + F * (arr[r1] - arr[i]) + F * (arr[r2] - arr[r3])
-            trial = clip(binomial_crossover(arr[i], donor, CR, rng), lo, hi)
+            trial = np.clip(binomial_crossover(arr[i], donor, CR, rng), lo, hi)
             pi_trial = pi[i] + F * (pi[r1] - pi[i]) + F * (pi[r2] - pi[r3])
             tf = budget.eval(trial)
             if tf <= farr[i]:
@@ -156,7 +156,7 @@ def run_jade(budget, lo, hi, pop_size, rng, x0=None):
             f_i = _cauchy_factor(rng, mu_f, JADE_CONSTANTS["f_scale"])
             pbest = _pbest_index(farr, p_frac, rng)
             donor = _ctpb1(arr, archive, i, pbest, f_i, rng)
-            trial = clip(binomial_crossover(arr[i], donor, cr_i, rng),
+            trial = np.clip(binomial_crossover(arr[i], donor, cr_i, rng),
                          lo, hi)
             tf = budget.eval(trial)
             if tf <= farr[i]:
@@ -195,7 +195,7 @@ def _shade_loop(budget, lo, hi, pop_size, rng, x0, shrink):
             p_i = rng.uniform(min(2.0 / n, 0.2), 0.2)
             pbest = _pbest_index(farr, p_i, rng)
             donor = _ctpb1(arr, archive, i, pbest, f_i, rng)
-            trial = clip(binomial_crossover(arr[i], donor, cr_i, rng),
+            trial = np.clip(binomial_crossover(arr[i], donor, cr_i, rng),
                          lo, hi)
             tf = budget.eval(trial)
             if tf <= farr[i]:

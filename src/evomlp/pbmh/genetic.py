@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .core import clip, init_population, tournament
+from .core import init_population, tournament
 
 GA_CONSTANTS = {
     "crossover_prob": 0.95,
@@ -27,7 +27,7 @@ def _breed(X, f, lo, hi, span, rng):
     if mutate.any():
         child[mutate] += rng.normal(
             0.0, GA_CONSTANTS["mutation_sigma_frac"] * span[mutate])
-    return clip(child, lo, hi)
+    return np.clip(child, lo, hi)
 
 
 def _ga_generation(X, f, lo, hi, budget, rng):
@@ -67,7 +67,7 @@ def run_ma(budget, lo, hi, pop_size, rng, x0=None):
             for _ in range(MA_CONSTANTS["local_search_trials"]):
                 if budget.exhausted:
                     break
-                cand = clip(cur + rng.normal(0.0, sigma), lo, hi)
+                cand = np.clip(cur + rng.normal(0.0, sigma), lo, hi)
                 cand_f = budget.eval(cand)
                 if cand_f < cur_f:
                     cur, cur_f = cand, cand_f

@@ -7,7 +7,7 @@ the shared evaluation budget.
 
 import numpy as np
 
-from .core import clip, init_population
+from .core import init_population
 
 PSO_CONSTANTS = {
     "c1": 2.05,
@@ -104,7 +104,7 @@ class _Swarm:
         when the personal best improved."""
         span = hi - lo
         self.V[i] = np.clip(self.V[i], -span, span)
-        self.X[i] = clip(self.X[i] + self.V[i], lo, hi)
+        self.X[i] = np.clip(self.X[i] + self.V[i], lo, hi)
         self.f[i] = budget.eval(self.X[i])
         if self.f[i] < self.pbest_f[i]:
             self.pbest_f[i] = self.f[i]
@@ -190,7 +190,7 @@ def run_cpso(budget, lo, hi, pop_size, rng, x0=None):
             if budget.exhausted:
                 break
             z = logistic_map(z)
-            cand = clip(gbest + radius * (2.0 * z - 1.0), lo, hi)
+            cand = np.clip(gbest + radius * (2.0 * z - 1.0), lo, hi)
             cand_f = budget.eval(cand)
             if cand_f < gbest_f:
                 gbest, gbest_f = cand, cand_f

@@ -7,6 +7,7 @@ import pytest
 
 from evomlp.cli import load_config, main
 from evomlp.data import read_dataset_csv
+from evomlp.driver import SearchConfig, config_manifest
 
 RAW_TRACE = """timestamp,battery_state,battery_level,cpu,wifi
 0,discharging,80,0.5,on
@@ -164,6 +165,51 @@ def test_max_layers_beyond_space_exits_2(tmp_path, capsys):
     assert code == 2
     assert "max_layers 3 exceeds space.max_layers 2" in capsys.readouterr().err
     assert not (out / "results.jsonl").exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"population_size": 3},
+    {"stage_budget": 3},
+    {"space": {"neuron_min": 9, "neuron_max": 8, "max_layers": 2}},
+    {"eval": {"folds": 10, "epochs": 2, "batch_size": 16, "seed": 0},
+     "dataset": {"type": "synthetic", "n": 5, "p": 4, "classes": 3,
+                 "separation": 3.0, "seed": 5}},
+    {"eval": {"folds": "3"}},
+], ids=["population-3", "budget-below-population", "neuron-min-above-max",
+        "fewer-rows-than-folds", "folds-string"])
+def test_bad_config_exits_2_before_work(tmp_path, capsys, overrides):
+    cfg = tiny_config(tmp_path, **overrides)
+    out = tmp_path / "b"
+    code = main(["benchmark", "--config", str(cfg), "--out", str(out),
+                 "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "results.jsonl").exists()
+
+
+def test_manifest_config_loads_back_equal(tmp_path):
+    loaded, _ = load_config(tiny_config(tmp_path))
+    for cfg in (loaded, SearchConfig()):
+        path = tmp_path / "manifest_config.json"
+        path.write_text(json.dumps(config_manifest(cfg)["config"]))
+        assert load_config(path) == (cfg, None)
+
+
+def test_top_level_max_layers_sets_stage_count(tmp_path):
+    cfg, _ = load_config(tiny_config(tmp_path, max_layers=10, space={}))
+    assert cfg.space.max_layers == 10  # fills the space's cap, default 8
+    path = tiny_config(tmp_path, max_layers=1, algorithms=["DE"], repeats=1,
+                       space={"neuron_min": 1, "neuron_max": 8,
+                              "max_layers": 3})
+    out = tmp_path / "b"
+    assert main(["benchmark", "--config", str(path), "--out", str(out),
+                 "--deterministic", "--quiet"]) == 0
+    records = [json.loads(line) for line
+               in (out / "results.jsonl").read_text().splitlines()]
+    assert len(records) == 2
+    for record in records:
+        assert len(record["stage_traces"]) == 1
+        assert record["n_evaluations"] == 8
 
 
 def test_benchmark_deterministic_byte_identical(tmp_path):

@@ -5,15 +5,15 @@ import pytest
 
 from evomlp.data import as_masked, synthesize
 from evomlp.driver import (RunRecord, SearchConfig, config_manifest,
-                           layer_growth_search, load_records, run_benchmark,
-                           seed_derive)
+                           layer_growth_search, load_records, run_benchmark)
 from evomlp.genome import SearchSpace
 from evomlp.objective import EvalConfig
+from evomlp.seeding import derive_seed
 
 
 def tiny_config(**overrides):
     base = dict(
-        max_layers=2, stage_budget=8, population_size=4, repeats=2,
+        stage_budget=8, population_size=4, repeats=2,
         missing_rates=(0.0, 0.4), algorithms=("DE", "PSO"),
         eval=EvalConfig(folds=2, epochs=2, batch_size=16, seed=0),
         master_seed=7,
@@ -29,19 +29,19 @@ def blob_data():
 
 
 def test_seed_derive_deterministic_and_order_free():
-    assert seed_derive(1, "a", 2) == seed_derive(1, "a", 2)
-    assert seed_derive(1, "a", 2) != seed_derive(1, "a", 3)
-    assert seed_derive(1, "a", 2) != seed_derive(2, "a", 2)
+    assert derive_seed(1, "a", 2) == derive_seed(1, "a", 2)
+    assert derive_seed(1, "a", 2) != derive_seed(1, "a", 3)
+    assert derive_seed(1, "a", 2) != derive_seed(2, "a", 2)
     # derivation depends only on the labels, not on call order
-    first = seed_derive(0, "run", "DE", 0.1, 3)
-    seed_derive(0, "other", "noise")
-    assert seed_derive(0, "run", "DE", 0.1, 3) == first
+    first = derive_seed(0, "run", "DE", 0.1, 3)
+    derive_seed(0, "other", "noise")
+    assert derive_seed(0, "run", "DE", 0.1, 3) == first
 
 
 def test_seed_derive_no_collisions_over_grid():
     algorithms = [f"alg{i}" for i in range(13)]
     seeds = {
-        seed_derive(0, "run", alg, rate, rep)
+        derive_seed(0, "run", alg, rate, rep)
         for alg in algorithms
         for rate in (0.0, 0.05, 0.2, 0.4)
         for rep in range(10)
@@ -52,7 +52,7 @@ def test_seed_derive_no_collisions_over_grid():
 def test_layer_growth_budget_ledger(blob_data):
     cfg = tiny_config()
     record = layer_growth_search("DE", as_masked(blob_data), cfg, seed=1)
-    assert record.n_evaluations == cfg.max_layers * cfg.stage_budget
+    assert record.n_evaluations == cfg.space.max_layers * cfg.stage_budget
     assert [len(t) for t in record.stage_traces] == [cfg.stage_budget] * 2
 
 
@@ -75,8 +75,7 @@ def test_layer_growth_default_ledger_is_240(blob_data, monkeypatch):
 
 
 def test_layer_growth_single_stage(blob_data):
-    cfg = tiny_config(max_layers=1,
-                      space=SearchSpace(neuron_min=1, neuron_max=8,
+    cfg = tiny_config(space=SearchSpace(neuron_min=1, neuron_max=8,
                                         max_layers=1))
     record = layer_growth_search("DE", as_masked(blob_data), cfg, seed=1)
     assert record.n_evaluations == cfg.stage_budget

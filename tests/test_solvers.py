@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -157,44 +159,60 @@ def test_beta_one_edge_stays_finite():
         assert np.all(np.isfinite(w))
 
 
+# Hyperparameters of the reference comparisons: every consumed gene away
+# from its neutral value, so each term of each rule shows in the result.
+REFERENCE_CASES = {
+    1: {"learning_rate": 0.05, "beta1": 0.9, "beta2": 0.95,
+        "weight_decay": 0.02},
+    2: {"learning_rate": 0.7, "rho": 0.85, "weight_decay": 0.03},
+    3: {"learning_rate": 0.05, "beta1": 0.9, "beta2": 0.95,
+        "weight_decay": 0.04},
+    4: {"learning_rate": 0.05, "beta1": 0.9, "beta2": 0.95,
+        "weight_decay": 0.02},
+    5: {"learning_rate": 0.1, "lambda": 0.3, "weight_decay": 0.01},
+    6: {"learning_rate": 0.05, "beta1": 0.9, "beta2": 0.95,
+        "lambda": 0.004, "weight_decay": 0.02},
+    7: {"learning_rate": 0.05, "beta1": 0.9, "beta2": 0.95,
+        "weight_decay": 0.02},
+    8: {"learning_rate": 0.01, "rho": 0.9, "momentum": 0.6,
+        "weight_decay": 0.02},
+    9: {"learning_rate": 0.02},
+    10: {"learning_rate": 0.05, "momentum": 0.7, "weight_decay": 0.01},
+}
+
+
 def test_updates_match_torch_reference():
     torch = pytest.importorskip("torch")
     torch.set_default_dtype(torch.float64)
 
     cases = {
-        1: ({"learning_rate": 0.05, "beta1": 0.9, "beta2": 0.95,
-             "weight_decay": 0.02},
+        1: (REFERENCE_CASES[1],
             lambda p: torch.optim.Adam(p, lr=0.05, betas=(0.9, 0.95),
                                        eps=1e-8, weight_decay=0.02)),
-        2: ({"learning_rate": 0.7, "rho": 0.85, "weight_decay": 0.03},
+        2: (REFERENCE_CASES[2],
             lambda p: torch.optim.Adadelta(p, lr=0.7, rho=0.85, eps=1e-6,
                                            weight_decay=0.03)),
-        3: ({"learning_rate": 0.05, "beta1": 0.9, "beta2": 0.95,
-             "weight_decay": 0.04},
+        3: (REFERENCE_CASES[3],
             lambda p: torch.optim.AdamW(p, lr=0.05, betas=(0.9, 0.95),
                                         eps=1e-8, weight_decay=0.04)),
-        5: ({"learning_rate": 0.1, "lambda": 0.3, "weight_decay": 0.01},
+        5: (REFERENCE_CASES[5],
             lambda p: torch.optim.ASGD(p, lr=0.1, lambd=0.3, alpha=0.75,
                                        t0=0, weight_decay=0.01)),
-        6: ({"learning_rate": 0.05, "beta1": 0.9, "beta2": 0.95,
-             "lambda": 0.004, "weight_decay": 0.02},
+        6: (REFERENCE_CASES[6],
             lambda p: torch.optim.NAdam(p, lr=0.05, betas=(0.9, 0.95),
                                         eps=1e-8, momentum_decay=0.004,
                                         weight_decay=0.02)),
-        7: ({"learning_rate": 0.05, "beta1": 0.9, "beta2": 0.95,
-             "weight_decay": 0.02},
+        7: (REFERENCE_CASES[7],
             lambda p: torch.optim.RAdam(p, lr=0.05, betas=(0.9, 0.95),
                                         eps=1e-8, weight_decay=0.02)),
-        8: ({"learning_rate": 0.01, "rho": 0.9, "momentum": 0.6,
-             "weight_decay": 0.02},
+        8: (REFERENCE_CASES[8],
             lambda p: torch.optim.RMSprop(p, lr=0.01, alpha=0.9,
                                           eps=1e-8, momentum=0.6,
                                           weight_decay=0.02)),
-        9: ({"learning_rate": 0.02},
+        9: (REFERENCE_CASES[9],
             lambda p: torch.optim.Rprop(p, lr=0.02, etas=(0.5, 1.2),
                                         step_sizes=(1e-6, 50.0))),
-        10: ({"learning_rate": 0.05, "momentum": 0.7,
-              "weight_decay": 0.01},
+        10: (REFERENCE_CASES[10],
              lambda p: torch.optim.SGD(p, lr=0.05, momentum=0.7,
                                        weight_decay=0.01)),
     }
@@ -263,3 +281,149 @@ def test_step_leaves_gradients_unchanged():
             solver.step(tensors, grads)
         for g, b in zip(grads, before):
             assert np.array_equal(g, b), SOLVER_NAMES[solver_id]
+
+
+# Scalar reference: one weight at a time in plain Python floats, written
+# from each rule's published update equations, independent of the
+# vectorized in-place code. Each takes (w, g, t, state, hyperparameters)
+# with t counted from 1 and returns the new weight; L2 weight decay is
+# added to the gradient except in AdamW.
+EPS = 1e-8
+
+
+def _l2(w, g, p):
+    return g + p.get("weight_decay", 0.0) * w
+
+
+def _adam(w, g, t, s, p):
+    # Kingma & Ba, "Adam" (2015), Algorithm 1
+    b1, b2 = p["beta1"], p["beta2"]
+    g = _l2(w, g, p)
+    s["m"] = b1 * s.get("m", 0.0) + (1 - b1) * g
+    s["v"] = b2 * s.get("v", 0.0) + (1 - b2) * g * g
+    m_hat = s["m"] / (1 - b1 ** t)
+    v_hat = s["v"] / (1 - b2 ** t)
+    return w - p["learning_rate"] * m_hat / (math.sqrt(v_hat) + EPS)
+
+
+def _adadelta(w, g, t, s, p):
+    # Zeiler, "ADADELTA" (2012), Algorithm 1, scaled by the learning rate
+    rho, eps = p["rho"], 1e-6
+    g = _l2(w, g, p)
+    s["eg2"] = rho * s.get("eg2", 0.0) + (1 - rho) * g * g
+    dx = math.sqrt(s.get("edx2", 0.0) + eps) / math.sqrt(s["eg2"] + eps) * g
+    s["edx2"] = rho * s.get("edx2", 0.0) + (1 - rho) * dx * dx
+    return w - p["learning_rate"] * dx
+
+
+def _adamw(w, g, t, s, p):
+    # Loshchilov & Hutter, "Decoupled Weight Decay Regularization"
+    # (2019): the decay shrinks the weight and bypasses the moments
+    w = w * (1 - p["learning_rate"] * p["weight_decay"])
+    return _adam(w, g, t, s, dict(p, weight_decay=0.0))
+
+
+def _adamax(w, g, t, s, p):
+    # Kingma & Ba (2015), Algorithm 2, with EPS guarding u = 0
+    b1, b2 = p["beta1"], p["beta2"]
+    g = _l2(w, g, p)
+    s["m"] = b1 * s.get("m", 0.0) + (1 - b1) * g
+    s["u"] = max(b2 * s.get("u", 0.0), abs(g))
+    return w - p["learning_rate"] / (1 - b1 ** t) * s["m"] / (s["u"] + EPS)
+
+
+def _asgd(w, g, t, s, p):
+    # Bottou, "Stochastic Gradient Descent Tricks" (2012): step size
+    # eta_t = lr / (1 + lambda lr t)^0.75 from t = 0, weights shrunk by
+    # 1 - lambda eta_t
+    lr, lam = p["learning_rate"], p["lambda"]
+    g = _l2(w, g, p)
+    eta = lr / (1 + lam * lr * (t - 1)) ** 0.75
+    return w * (1 - lam * eta) - eta * g
+
+
+def _nadam(w, g, t, s, p):
+    # Dozat, "Incorporating Nesterov Momentum into Adam" (2016), with the
+    # momentum schedule mu_t = beta1 (1 - 0.96^(t psi) / 2)
+    b1, b2, psi = p["beta1"], p["beta2"], p["lambda"]
+    g = _l2(w, g, p)
+    mu_t = b1 * (1 - 0.5 * 0.96 ** (t * psi))
+    mu_next = b1 * (1 - 0.5 * 0.96 ** ((t + 1) * psi))
+    s["mu_prod"] = s.get("mu_prod", 1.0) * mu_t
+    s["m"] = b1 * s.get("m", 0.0) + (1 - b1) * g
+    s["v"] = b2 * s.get("v", 0.0) + (1 - b2) * g * g
+    m_hat = (mu_next * s["m"] / (1 - s["mu_prod"] * mu_next)
+             + (1 - mu_t) * g / (1 - s["mu_prod"]))
+    v_hat = s["v"] / (1 - b2 ** t)
+    return w - p["learning_rate"] * m_hat / (math.sqrt(v_hat) + EPS)
+
+
+def _radam(w, g, t, s, p):
+    # Liu et al., "On the Variance of the Adaptive Learning Rate and
+    # Beyond" (2020), Algorithm 2, with Adam's EPS in the adaptive term
+    b1, b2 = p["beta1"], p["beta2"]
+    g = _l2(w, g, p)
+    s["m"] = b1 * s.get("m", 0.0) + (1 - b1) * g
+    s["v"] = b2 * s.get("v", 0.0) + (1 - b2) * g * g
+    m_hat = s["m"] / (1 - b1 ** t)
+    rho_inf = 2 / (1 - b2) - 1
+    rho_t = rho_inf - 2 * t * b2 ** t / (1 - b2 ** t)
+    if rho_t <= 5:
+        return w - p["learning_rate"] * m_hat
+    r = math.sqrt((rho_t - 4) * (rho_t - 2) * rho_inf
+                  / ((rho_inf - 4) * (rho_inf - 2) * rho_t))
+    v_hat = s["v"] / (1 - b2 ** t)
+    return w - p["learning_rate"] * r * m_hat / (math.sqrt(v_hat) + EPS)
+
+
+def _rmsprop(w, g, t, s, p):
+    # Tieleman & Hinton, Coursera lecture 6.5 (2012), with heavy-ball
+    # momentum on the normalized gradient
+    rho, mom = p["rho"], p["momentum"]
+    g = _l2(w, g, p)
+    s["ms"] = rho * s.get("ms", 0.0) + (1 - rho) * g * g
+    s["buf"] = mom * s.get("buf", 0.0) + g / (math.sqrt(s["ms"]) + EPS)
+    return w - p["learning_rate"] * s["buf"]
+
+
+def _rprop(w, g, t, s, p):
+    # Riedmiller & Braun (1993), iRprop-: a sign change shrinks the step
+    # and forgets the gradient, so the weight holds still
+    step = s.get("step", p["learning_rate"])
+    if s.get("prev", 0.0) * g > 0:
+        step = min(step * 1.2, 50.0)
+    elif s.get("prev", 0.0) * g < 0:
+        step = max(step * 0.5, 1e-6)
+        g = 0.0
+    s["step"], s["prev"] = step, g
+    return w - ((g > 0) - (g < 0)) * step
+
+
+def _sgd(w, g, t, s, p):
+    # heavy-ball momentum (Polyak 1964), as in Sutskever et al. (2013)
+    g = _l2(w, g, p)
+    s["buf"] = p["momentum"] * s.get("buf", 0.0) + g
+    return w - p["learning_rate"] * s["buf"]
+
+
+SCALAR_RULES = {1: _adam, 2: _adadelta, 3: _adamw, 4: _adamax, 5: _asgd,
+                6: _nadam, 7: _radam, 8: _rmsprop, 9: _rprop, 10: _sgd}
+
+
+@pytest.mark.parametrize("solver_id", sorted(SOLVER_NAMES))
+def test_updates_match_scalar_oracle(solver_id):
+    params = REFERENCE_CASES[solver_id]
+    rng = np.random.default_rng(4)
+    w = rng.normal(size=6)
+    grads = rng.normal(size=(20, 6))
+    solver = make_solver(SolverSpec(solver_id, dict(params)), [w.shape])
+    scalar = [float(x) for x in w]
+    states = [{} for _ in scalar]
+    for t, g in enumerate(grads, start=1):
+        solver.step([w], [g])
+        scalar = [SCALAR_RULES[solver_id](x, float(gi), t, st, params)
+                  for x, gi, st in zip(scalar, g, states)]
+        # float64 round-off of two operation orders over 20 steps
+        np.testing.assert_allclose(w, scalar, rtol=1e-12, atol=1e-14,
+                                   err_msg=f"{SOLVER_NAMES[solver_id]} "
+                                           f"step {t}")
