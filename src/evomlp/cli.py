@@ -75,6 +75,9 @@ def load_config(path):
         space = capped
     raw["space"] = space
     raw["eval"] = _build(EvalConfig, raw.get("eval", {}), "eval")
+    for key in ("algorithms", "missing_rates"):
+        if key in raw and not isinstance(raw[key], list):
+            raise ConfigError(f"{key} must be a JSON list")
     if "algorithms" in raw:
         raw["algorithms"] = tuple(canonical_name(a) for a in raw["algorithms"])
     if "missing_rates" in raw:

@@ -40,6 +40,8 @@ class SearchConfig:
     space: SearchSpace = field(default_factory=SearchSpace)
 
     def __post_init__(self):
+        if self.repeats < 1:
+            raise ConfigError("repeats must be >= 1")
         if self.population_size < 4:
             raise ConfigError("population_size must be >= 4")
         if self.stage_budget < self.population_size:
@@ -77,10 +79,11 @@ class RunRecord:
 
 
 class _BestTracker:
-    """Scores genomes, counts calls, and remembers the best EvalResult."""
+    """Scores genomes on one fold split of ds, made here once for the
+    whole run, counts calls, and remembers the best EvalResult."""
 
     def __init__(self, ds, eval_cfg, space):
-        self.ds = ds
+        self.split = objective.split_folds(ds, eval_cfg)
         self.eval_cfg = eval_cfg
         self.space = space
         self.calls = 0
@@ -89,7 +92,7 @@ class _BestTracker:
         self.best_result = None
 
     def __call__(self, genome):
-        result = objective.evaluate(genome, self.ds, self.eval_cfg,
+        result = objective.evaluate(genome, self.split, self.eval_cfg,
                                     self.space)
         self.calls += 1
         if result.fitness < self.best_fitness:

@@ -9,9 +9,23 @@ A network keeps all of its parameters in one contiguous vector, `flat`;
 its weight matrices and bias vectors are reshaped views into it. A
 solver trains the network by updating `flat` in place against a gradient
 vector of the same layout, which `loss_and_gradients` can fill.
+
+Cross-validation trains k nets of one architecture at once as a stack:
+one (k, P) buffer with net i in row i, whose weights are (k, fan_in,
+fan_out) views. `loss_and_gradients` takes a stack and a (k, B, p) batch
+and runs each matmul as one batched call, so Python pays its per-call
+overhead once per mini-batch instead of k times, while each net's
+arithmetic is the one it would do alone: the same BLAS call on the same
+operands, reductions only within its own batch. All nets of a stacked
+call therefore need batches of one length B. A batch is never padded to
+make lengths agree: a padding row, even with zero weight, changes the
+inner dimension of the weight-gradient matmul and with it how BLAS
+accumulates, so the gradient bits would change.
 """
 
 import numpy as np
+
+N_OUTPUTS = 3  # safe / warning / critical
 
 
 class MaskedMLP:
@@ -22,6 +36,10 @@ class MaskedMLP:
     list) are views into it, so writing through any of them writes
     `flat`. Gradient lists from loss_and_gradients align with `params`.
     The constructor copies the given arrays into a fresh `flat`.
+
+    A stack of k nets of one architecture (see `stack`) has a `flat` of
+    shape (k, P), one net per row, and every weight and bias view gains
+    a leading axis of length k; `row(i)` is net i as views into row i.
     """
 
     def __init__(self, weights, biases, solver_meta=None):
@@ -31,44 +49,68 @@ class MaskedMLP:
             if wa.shape[1] != wb.shape[0]:
                 raise ValueError(
                     f"layer shapes do not chain: {wa.shape} -> {wb.shape}")
-        self._layout, start = [], 0  # (start, stop, shape) per tensor
+        layout, start = [], 0  # (start, stop, shape) per tensor
         for w in weights:
             for shape in (w.shape, (w.shape[1],)):
                 stop = start + int(np.prod(shape))
-                self._layout.append((start, stop, shape))
+                layout.append((start, stop, shape))
                 start = stop
-        self.flat = np.empty(start)
-        self._unflattened = (None, [])
-        self.params = self.unflatten(self.flat)
-        self.weights = self.params[0::2]
-        self.biases = self.params[1::2]
+        self._attach(layout, np.empty(start), solver_meta)
         given = [t for pair in zip(weights, biases) for t in pair]
         for view, value in zip(self.params, given):
             view[...] = value
+
+    def _attach(self, layout, flat, solver_meta=None):
+        """Make flat this net's parameter buffer, without copying it."""
+        self._layout = layout
+        self.flat = flat
+        self._unflattened = (None, [])
+        self.params = self.unflatten(flat)
+        self.weights = self.params[0::2]
+        self.biases = self.params[1::2]
         self.solver_meta = solver_meta
 
-    def unflatten(self, vec):
-        """Views of a vector laid out like `flat`, ordered like params.
+    @classmethod
+    def _over(cls, layout, flat):
+        net = cls.__new__(cls)
+        net._attach(layout, flat)
+        return net
 
-        The views of the last vector asked for are kept, since training
-        asks for those of one gradient vector on every mini-batch."""
+    @classmethod
+    def stack(cls, nets):
+        """One stacked net whose (k, P) buffer holds a copy of each given
+        net's parameters, row i for nets[i]; all must share a layout."""
+        layout = nets[0]._layout
+        if any(net._layout != layout for net in nets):
+            raise ValueError("stacked nets must share one architecture")
+        return cls._over(layout, np.stack([net.flat for net in nets]))
+
+    def row(self, i):
+        """Net i of a stack, as views into row i of the stack's buffer."""
+        return self._over(self._layout, self.flat[i])
+
+    def unflatten(self, vec):
+        """Views of a buffer laid out like `flat`, ordered like params.
+
+        The views of the last buffer asked for are kept, since training
+        asks for those of one gradient buffer on every mini-batch."""
         if self._unflattened[0] is not vec:
-            self._unflattened = (vec, [vec[start:stop].reshape(shape)
-                                       for start, stop, shape
-                                       in self._layout])
+            lead = vec.shape[:-1]
+            self._unflattened = (vec, [vec[..., start:stop].reshape(
+                lead + shape) for start, stop, shape in self._layout])
         return list(self._unflattened[1])
 
     @property
     def input_dim(self):
-        return self.weights[0].shape[0]
+        return self.weights[0].shape[-2]
 
     @property
     def n_outputs(self):
-        return self.weights[-1].shape[1]
+        return self.weights[-1].shape[-1]
 
     @property
     def hidden_layer_sizes(self):
-        return tuple(w.shape[1] for w in self.weights[:-1])
+        return tuple(w.shape[-1] for w in self.weights[:-1])
 
     def to_dict(self):
         return {
@@ -92,7 +134,7 @@ class MaskedMLP:
         return cls(weights, biases, solver_meta=d.get("solver"))
 
 
-def init_network(hidden_layer_sizes, input_dim, seed, n_outputs=3,
+def init_network(hidden_layer_sizes, input_dim, seed, n_outputs=N_OUTPUTS,
                  solver_meta=None):
     """Seeded init: weights uniform in +-sqrt(6/fan_in), biases zero."""
     if input_dim < 1:
@@ -152,12 +194,22 @@ def loss_and_gradients(net, X, M, y, out=None):
     """Mean cross-entropy over the batch and exact gradients.
 
     Returns (loss, grads) with grads ordered like net.params. The
-    gradients are written into `out`, a vector laid out like net.flat
+    gradients are written into `out`, a buffer laid out like net.flat
     (a fresh one when None), and grads are views into it.
+
+    For a stack of k nets, X and M are (k, B, p) and y is (k, B): net i
+    sees batch i, the loss is one value per net and each gradient row
+    is that net's own. The matmuls are batched, one BLAS call per net
+    with the same operands as the net alone, and every reduction runs
+    within one net's batch, so each net gets the bits it would get by
+    itself. A single net is the unstacked case of the same code.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[np.newaxis]
     y = np.asarray(y, dtype=int)
-    if X.shape[0] == 0:
+    n = X.shape[-2]
+    if n == 0:
         raise ValueError("empty batch")
     a = X if M is None else mask_input(X, np.atleast_2d(M))
 
@@ -165,25 +217,28 @@ def loss_and_gradients(net, X, M, y, out=None):
     activations = [a]
     pre = []
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        z = activations[-1] @ w + b
+        z = activations[-1] @ w + b[..., np.newaxis, :]
         pre.append(z)
         activations.append(np.maximum(z, 0.0))
-    logits = activations[-1] @ net.weights[-1] + net.biases[-1]
+    logits = activations[-1] @ net.weights[-1] \
+        + net.biases[-1][..., np.newaxis, :]
 
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     log_probs = shifted - log_norm
-    n = X.shape[0]
-    loss = -log_probs[np.arange(n), y].mean()
+    target = y[..., np.newaxis] == np.arange(log_probs.shape[-1])
+    loss = -log_probs[target].reshape(y.shape).mean(axis=-1)
 
     delta = np.exp(log_probs)
-    delta[np.arange(n), y] -= 1.0
+    np.subtract(delta, 1.0, out=delta, where=target)
     delta /= n
 
     grads = net.unflatten(np.empty_like(net.flat) if out is None else out)
     for layer in range(len(net.weights) - 1, -1, -1):
-        np.matmul(activations[layer].T, delta, out=grads[2 * layer])
-        delta.sum(axis=0, out=grads[2 * layer + 1])
+        np.matmul(activations[layer].swapaxes(-1, -2), delta,
+                  out=grads[2 * layer])
+        delta.sum(axis=-2, out=grads[2 * layer + 1])
         if layer > 0:
-            delta = (delta @ net.weights[layer].T) * (pre[layer - 1] > 0)
+            delta = (delta @ net.weights[layer].swapaxes(-1, -2)) \
+                * (pre[layer - 1] > 0)
     return loss, grads

@@ -4,6 +4,16 @@ decoded, solver-trained masked network.
 Training minimizes cross-entropy (the search objective itself, percent
 error, is not differentiable); scoring uses percent error so fitness lives
 in [0, 100] with accuracy = 100 - error on the same predictions.
+
+The fold split, with each fold's min-max scaling and masking, is the same
+for every genome of a run, so `split_folds` makes it once and `evaluate`
+takes it in place of the dataset. Within one evaluation the folds train
+as stacks of nets (see network): folds with training sets of one size
+share a stack, so every mini-batch has one length across the stack and
+nothing is padded, and every fold gets the bits it would get alone.
+`stratified_folds` deals rows round-robin, so training sets take at most
+two sizes and an evaluation at most two stacks. A stack holds at most
+STACK_PARAMS parameters, since its memory grows with k.
 """
 
 from dataclasses import dataclass
@@ -29,6 +39,8 @@ class EvalConfig:
             raise ValueError("folds must be >= 2")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -119,56 +131,98 @@ def _apply_minmax(X, M, mn, mx):
     return scaled * M  # mask re-applied after scaling
 
 
-def evaluate(genome, ds, cfg, space=None):
-    """Stratified k-fold score of one genome; deterministic per inputs.
+# Most parameters one stack trains at once. Stacking k folds multiplies
+# the solver state, the gradient buffer and the activations of a
+# mini-batch by k; on nets of tens of thousands of parameters that memory
+# outweighs the per-call overhead a stack saves (uncapped stacking raised
+# the peak memory of a search over 1-400 neurons per layer by about a
+# sixth), so a net above the cap trains one fold at a time.
+STACK_PARAMS = 1 << 16
 
-    Returns an EvalResult whose fitness (mean fold percent error) the
-    optimizers minimize.
+
+@dataclass(frozen=True, eq=False)
+class FoldSplit:
+    """The stratified k-fold split of one dataset, ready for training.
+
+    Fold i trains on the rows of X_train[i, :n_train[i]] (min-max scaled
+    on its own training rows, then multiplied by their mask, as the
+    network's first layer would) with labels y_train[i, :n_train[i]],
+    and is scored on test[i] = (X_test, y_test), scaled and masked the
+    same way. Rows past n_train[i] are never read. The split depends only
+    on the dataset, cfg.folds and cfg.seed, so a run makes it once and
+    scores every genome on it.
     """
+
+    folds: int
+    seed: int
+    X_train: np.ndarray
+    y_train: np.ndarray
+    n_train: np.ndarray
+    test: tuple
+
+    @property
+    def p(self):
+        return self.X_train.shape[-1]
+
+
+def split_folds(ds, cfg):
+    """The FoldSplit of a LabeledDataset or MaskedDataset under cfg."""
     if isinstance(ds, LabeledDataset):
         ds = as_masked(ds)
     if not isinstance(ds, MaskedDataset):
         raise TypeError("expected a LabeledDataset or MaskedDataset")
     if ds.n < cfg.folds:
         raise ValueError(f"{ds.n} rows cannot fill {cfg.folds} folds")
-    space = space or SearchSpace()
-    spec = decode(genome, space)
-
     folds = stratified_folds(ds.y, cfg.folds,
                              np.random.default_rng(
                                  derive_seed(cfg.seed, "folds")))
-    all_idx = np.arange(ds.n)
-    per_fold = []
+    n_train = ds.n - np.array([f.size for f in folds])
+    X_train = np.zeros((cfg.folds, n_train.max(), ds.p))
+    y_train = np.zeros((cfg.folds, n_train.max()), dtype=ds.y.dtype)
+    test = []
     for fold_i, test_idx in enumerate(folds):
-        train_idx = np.setdiff1d(all_idx, test_idx, assume_unique=False)
-        mn, mx = _fit_minmax(ds.X[train_idx], ds.M[train_idx])
-        X_train = _apply_minmax(ds.X[train_idx], ds.M[train_idx], mn, mx)
-        X_test = _apply_minmax(ds.X[test_idx], ds.M[test_idx], mn, mx)
+        train_idx = np.setdiff1d(np.arange(ds.n), test_idx)
         M_train, M_test = ds.M[train_idx], ds.M[test_idx]
-        y_train, y_test = ds.y[train_idx], ds.y[test_idx]
+        mn, mx = _fit_minmax(ds.X[train_idx], M_train)
+        X_train[fold_i, :train_idx.size] = network.mask_input(
+            _apply_minmax(ds.X[train_idx], M_train, mn, mx), M_train)
+        y_train[fold_i, :train_idx.size] = ds.y[train_idx]
+        test.append((network.mask_input(
+            _apply_minmax(ds.X[test_idx], M_test, mn, mx), M_test),
+            ds.y[test_idx]))
+    return FoldSplit(folds=cfg.folds, seed=cfg.seed, X_train=X_train,
+                     y_train=y_train, n_train=n_train, test=tuple(test))
 
-        net = network.init_network(
-            spec.hidden_layer_sizes, ds.p,
-            seed=derive_seed(cfg.seed, "init", fold_i))
-        trained = _train(net, SolverSpec(spec.solver_id, spec.active_params),
-                         X_train, M_train, y_train, cfg,
-                         rng=np.random.default_rng(
-                             derive_seed(cfg.seed, "batches", fold_i)))
 
-        if trained:
-            pred = network.predict(net, X_test, M_test)
+def evaluate(genome, ds, cfg, space=None):
+    """Stratified k-fold score of one genome; deterministic per inputs.
+
+    ds is a LabeledDataset, a MaskedDataset or the FoldSplit of one made
+    with the same cfg. Returns an EvalResult whose fitness (mean fold
+    percent error) the optimizers minimize.
+    """
+    split = ds if isinstance(ds, FoldSplit) else split_folds(ds, cfg)
+    if (split.folds, split.seed) != (cfg.folds, cfg.seed):
+        raise ValueError(
+            f"split made for {split.folds} folds with seed {split.seed}, "
+            f"config asks for {cfg.folds} folds with seed {cfg.seed}")
+    spec = decode(genome, space or SearchSpace())
+    per_fold = [None] * cfg.folds
+    for fold_i, net in _trained_folds(spec, split, cfg):
+        if net is None:
+            # diverged numerically: worst possible score, not an error,
+            # so the surrounding search stays total
+            per_fold[fold_i] = {"error": 100.0, "accuracy": 0.0,
+                                "f_measure": 0.0}
+        else:
+            X_test, y_test = split.test[fold_i]
+            pred = network.predict(net, X_test)
             err = classification_error(pred, y_test)
-            fold_score = {
+            per_fold[fold_i] = {
                 "error": err,
                 "accuracy": 100.0 - err,
                 "f_measure": f_measure(pred, y_test),
             }
-        else:
-            # diverged numerically: worst possible score, not an error,
-            # so the surrounding search stays total
-            fold_score = {"error": 100.0, "accuracy": 0.0,
-                          "f_measure": 0.0}
-        per_fold.append(fold_score)
 
     fitness = float(np.mean([f["error"] for f in per_fold]))
     return EvalResult(
@@ -179,24 +233,77 @@ def evaluate(genome, ds, cfg, space=None):
     )
 
 
-def _train(net, solver_spec, X, M, y, cfg, rng):
-    """Mini-batch training of net.flat in place, against one gradient
-    vector of the same layout; returns False if the weights blew up.
+def _trained_folds(spec, split, cfg):
+    """Yields (fold index, trained net) for every fold, stack by stack;
+    the net is None for a fold whose training diverged."""
+    solver_spec = SolverSpec(spec.solver_id, spec.active_params)
+    sizes = (split.p, *spec.hidden_layer_sizes, network.N_OUTPUTS)
+    n_params = sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
+    for folds in _stacks(split.n_train, n_params):
+        stack = network.MaskedMLP.stack([
+            network.init_network(spec.hidden_layer_sizes, split.p,
+                                 seed=derive_seed(cfg.seed, "init", fold_i))
+            for fold_i in folds])
+        trained = _train(stack, solver_spec, split, folds, cfg)
+        for row, fold_i in enumerate(folds):
+            yield fold_i, stack.row(row) if trained[row] else None
 
-    The solver and the gradient vector live only for the call, so one
-    fold's training state is freed before the next fold's is made."""
-    solver = make_solver(solver_spec, [net.flat.shape])
-    n = X.shape[0]
-    params, grads = [net.flat], [np.empty_like(net.flat)]
+
+def _stacks(n_train, n_params):
+    """Lists of fold indices (Python ints, which the seeds are derived
+    from) to train together: folds with training sets of one size, at
+    most STACK_PARAMS parameters per stack."""
+    per_stack = max(1, STACK_PARAMS // n_params)
+    stacks = []
+    for size in np.unique(n_train):
+        folds = np.flatnonzero(n_train == size).tolist()
+        stacks += [folds[i:i + per_stack]
+                   for i in range(0, len(folds), per_stack)]
+    return stacks
+
+
+def _train(stack, solver_spec, split, folds, cfg):
+    """Mini-batch training of a stack in place, row r on fold folds[r];
+    returns which rows trained without blowing up.
+
+    The folds of a stack have training sets of one size, so each
+    mini-batch is one gradient call on the whole stack and one solver
+    step, with every row drawing its own batch order. A row whose
+    gradient goes non-finite is dead from then on: its parameter row is
+    zeroed, and so is its gradient row after every gradient call, so the
+    solver steps the other rows to the bits they would get alone (every
+    solver rule is elementwise). The solver and the gradient buffer live
+    only for the call, so one stack's training state is freed before the
+    next stack's is made."""
+    n = split.n_train[folds[0]]
+    rngs = [np.random.default_rng(derive_seed(cfg.seed, "batches", fold_i))
+            for fold_i in folds]
+    solver = make_solver(solver_spec, [stack.flat.shape])
+    params, grads = [stack.flat], [np.empty_like(stack.flat)]
+    fold_col = np.array(folds)[:, np.newaxis]
+    order = np.empty((len(folds), n), dtype=np.intp)
+    dead = None  # rows whose gradient went non-finite, once one has
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(cfg.epochs):
-            order = rng.permutation(n)
+            for row, rng in enumerate(rngs):
+                order[row] = rng.permutation(n)
             for start in range(0, n, cfg.batch_size):
-                batch = order[start:start + cfg.batch_size]
+                batch = order[:, start:start + cfg.batch_size]
                 network.loss_and_gradients(
-                    net, X[batch], M[batch], y[batch], out=grads[0])
+                    stack, split.X_train[fold_col, batch], None,
+                    split.y_train[fold_col, batch], out=grads[0])
+                if dead is not None:
+                    grads[0][dead] = 0.0
                 try:
                     solver.step(params, grads)
                 except NumericFaultError:
-                    return False
-    return bool(np.all(np.isfinite(net.flat)))
+                    # step raised before changing any state
+                    fault = ~np.all(np.isfinite(grads[0]), axis=1)
+                    dead = fault if dead is None else dead | fault
+                    if dead.all():
+                        return ~dead
+                    grads[0][dead] = 0.0
+                    stack.flat[dead] = 0.0
+                    solver.step(params, grads)
+    alive = np.all(np.isfinite(stack.flat), axis=1)
+    return alive if dead is None else alive & ~dead

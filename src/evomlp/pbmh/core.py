@@ -24,8 +24,8 @@ class NonFiniteObjectiveError(FloatingPointError):
 @dataclass(frozen=True)
 class OptimizerConfig:
     algorithm: str
-    population_size: int = 10
-    stage_budget: int = 30
+    population_size: int
+    stage_budget: int
     seed: int = 0
 
 

@@ -175,8 +175,12 @@ def test_max_layers_beyond_space_exits_2(tmp_path, capsys):
      "dataset": {"type": "synthetic", "n": 5, "p": 4, "classes": 3,
                  "separation": 3.0, "seed": 5}},
     {"eval": {"folds": "3"}},
+    {"eval": {"folds": 2, "epochs": 2, "batch_size": 0, "seed": 0}},
+    {"repeats": "2"},
+    {"missing_rates": 5},
 ], ids=["population-3", "budget-below-population", "neuron-min-above-max",
-        "fewer-rows-than-folds", "folds-string"])
+        "fewer-rows-than-folds", "folds-string", "batch-size-0",
+        "repeats-string", "missing-rates-scalar"])
 def test_bad_config_exits_2_before_work(tmp_path, capsys, overrides):
     cfg = tiny_config(tmp_path, **overrides)
     out = tmp_path / "b"

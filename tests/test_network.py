@@ -243,3 +243,47 @@ def test_gradients_written_into_buffer():
     for v, g, p in zip(views, fresh, net.params):
         assert np.shares_memory(v, out)
         assert v.shape == g.shape == p.shape
+
+
+def test_stacked_loss_and_gradients_match_each_net():
+    rng = np.random.default_rng(21)
+    for _ in range(30):
+        k = int(rng.integers(1, 11))
+        p, n = int(rng.integers(2, 12)), int(rng.integers(1, 40))
+        hidden = [int(rng.integers(1, 60))
+                  for _ in range(int(rng.integers(1, 4)))]
+        nets = [init_network(hidden, p, seed=int(rng.integers(1 << 31)))
+                for _ in range(k)]
+        stack = MaskedMLP.stack(nets)
+        X = rng.normal(size=(k, n, p))
+        M = (rng.random((k, n, p)) > 0.3).astype(float)
+        y = rng.integers(0, 3, size=(k, n))
+        out = np.full(stack.flat.shape, np.nan)
+        loss, grads = loss_and_gradients(stack, X, M, y, out=out)
+        assert loss.shape == (k,)
+        for i, net in enumerate(nets):
+            own_loss, own = loss_and_gradients(net, X[i], M[i], y[i])
+            assert loss[i] == own_loss
+            for g, g_own in zip(grads, own):
+                assert g.shape == (k,) + g_own.shape
+                assert np.array_equal(g[i], g_own)
+            assert np.array_equal(out[i], np.concatenate(
+                [g.ravel() for g in own]))
+
+
+def test_stack_rows_alias_the_stack_buffer():
+    nets = [init_network([5, 4], 3, seed=s) for s in range(3)]
+    stack = MaskedMLP.stack(nets)
+    assert stack.flat.shape == (3, nets[0].flat.size)
+    assert stack.hidden_layer_sizes == (5, 4) and stack.input_dim == 3
+    for p in stack.params:
+        assert np.shares_memory(p, stack.flat)
+    for i, net in enumerate(nets):
+        row = stack.row(i)
+        assert np.array_equal(row.flat, net.flat)
+        row.weights[0][0, 0] = 7.0
+        assert stack.flat[i, 0] == 7.0 == stack.weights[0][i, 0, 0]
+        assert net.weights[0][0, 0] != 7.0  # the stack holds a copy
+    with pytest.raises(ValueError):
+        MaskedMLP.stack([init_network([5], 3, seed=0),
+                         init_network([4], 3, seed=0)])

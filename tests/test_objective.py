@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
+from evomlp import objective
 from evomlp.data import as_masked, inject_missing, synthesize
-from evomlp.genome import Genome, HyperparamVector
+from evomlp.genome import (Genome, HyperparamVector, NetworkSpec,
+                           selective_exclusion)
+from evomlp.network import init_network, loss_and_gradients
 from evomlp.objective import (EvalConfig, classification_error, evaluate,
-                              f_measure, stratified_folds)
+                              f_measure, split_folds, stratified_folds)
+from evomlp.seeding import derive_seed
+from evomlp.solvers import NumericFaultError, SolverSpec, make_solver
 
 
 def sane_genome(hidden=(16.0,), solver=1.0, lr=0.01):
@@ -178,3 +183,135 @@ def test_eval_config_validation():
         EvalConfig(folds=1)
     with pytest.raises(ValueError):
         EvalConfig(epochs=0)
+    with pytest.raises(ValueError):
+        EvalConfig(batch_size=0)
+
+
+def test_evaluate_on_split_equals_evaluate_on_dataset(blob_data):
+    mds = inject_missing(blob_data, 0.2, seed=1)
+    cfg = _fast_cfg()
+    split = split_folds(mds, cfg)
+    assert evaluate(sane_genome(), split, cfg) == evaluate(sane_genome(),
+                                                           mds, cfg)
+    for other in (EvalConfig(folds=4, epochs=10, batch_size=16, seed=0),
+                  _fast_cfg(seed=1)):
+        with pytest.raises(ValueError):
+            evaluate(sane_genome(), split, other)
+
+
+def _spec(solver_id, hidden=(6, 4)):
+    hyper = HyperparamVector(learning_rate=0.05, weight_decay=0.01, rho=0.9,
+                             beta1=0.9, beta2=0.999, lam=0.5, momentum=0.9,
+                             solver_gene=float(solver_id))
+    return NetworkSpec(hidden_layer_sizes=hidden, solver_id=solver_id,
+                       active_params=selective_exclusion(solver_id, hyper))
+
+
+def _train_alone(spec, X, y, fold_i, cfg):
+    """Reference: one fold trained by itself on 2-D arrays, one gradient
+    call and one solver step per mini-batch; None if it diverged."""
+    net = init_network(spec.hidden_layer_sizes, X.shape[1],
+                       seed=derive_seed(cfg.seed, "init", fold_i))
+    solver = make_solver(SolverSpec(spec.solver_id, spec.active_params),
+                         [net.flat.shape])
+    rng = np.random.default_rng(derive_seed(cfg.seed, "batches", fold_i))
+    grad = np.empty_like(net.flat)
+    with np.errstate(all="ignore"):
+        for _ in range(cfg.epochs):
+            order = rng.permutation(y.size)
+            for start in range(0, y.size, cfg.batch_size):
+                batch = order[start:start + cfg.batch_size]
+                loss_and_gradients(net, X[batch], None, y[batch], out=grad)
+                try:
+                    solver.step([net.flat], [grad])
+                except NumericFaultError:
+                    return None
+    return net if np.all(np.isfinite(net.flat)) else None
+
+
+def _assert_stacking_changes_nothing(spec, split, cfg):
+    """Every fold's weights after stacked training equal, bit for bit,
+    those of the fold trained alone; returns the stacked nets by fold."""
+    trained = dict(objective._trained_folds(spec, split, cfg))
+    assert sorted(trained) == list(range(cfg.folds))
+    for fold_i, net in trained.items():
+        n = split.n_train[fold_i]
+        alone = _train_alone(spec, split.X_train[fold_i, :n],
+                             split.y_train[fold_i, :n], fold_i, cfg)
+        assert (net is None) == (alone is None)
+        if net is not None:
+            assert np.array_equal(net.flat, alone.flat)
+    return trained
+
+
+STACK_CASES = {  # rows, folds, batch size
+    "k2": (64, 2, 10),
+    "k2-whole-batches": (64, 2, 8),
+    "k3-ragged-last-batch": (61, 3, 16),
+    "k3-unequal-batch-counts": (73, 3, 16),
+    "k10-ragged-last-batch": (103, 10, 8),
+    "k10-unequal-batch-counts": (103, 10, 4),
+}
+
+
+def _stack_case(case, epochs=3):
+    rows, folds, batch_size = STACK_CASES[case]
+    cfg = EvalConfig(folds=folds, epochs=epochs, batch_size=batch_size,
+                     seed=4)
+    ds = inject_missing(synthesize(rows, 5, 3, separation=3.0, seed=1), 0.2,
+                        seed=2)
+    return split_folds(ds, cfg), cfg
+
+
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+@pytest.mark.parametrize("solver_id", range(1, 11))
+def test_stacked_training_matches_each_fold_alone(case, solver_id):
+    split, cfg = _stack_case(case)
+    batches = -(-split.n_train // cfg.batch_size)
+    if "ragged" in case:
+        assert np.all(split.n_train % cfg.batch_size)
+        assert len(set(split.n_train)) > 1 and len(set(batches)) == 1
+    if "unequal" in case:
+        assert len(set(batches)) > 1
+    if "whole" in case:
+        assert not np.any(split.n_train % cfg.batch_size)
+    _assert_stacking_changes_nothing(_spec(solver_id), split, cfg)
+
+
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_stacks_hold_folds_of_one_training_size(case):
+    split, cfg = _stack_case(case)
+    stacks = objective._stacks(split.n_train, n_params=1)
+    assert sorted(f for s in stacks for f in s) == list(range(cfg.folds))
+    sizes = [set(split.n_train[s].tolist()) for s in stacks]
+    assert all(len(size) == 1 for size in sizes)
+    assert len(stacks) == len(set(split.n_train.tolist())) <= 2
+
+
+@pytest.mark.parametrize("solver_id", range(1, 11))
+def test_stacks_split_by_parameter_cap(monkeypatch, solver_id):
+    split, cfg = _stack_case("k10-ragged-last-batch")
+    spec = _spec(solver_id)
+    n_params = init_network(spec.hidden_layer_sizes, split.p, 0).flat.size
+    monkeypatch.setattr(objective, "STACK_PARAMS", 3 * n_params + 1)
+    stacks = objective._stacks(split.n_train, n_params)
+    assert [len(s) for s in stacks] == [3, 3, 3, 1]
+    _assert_stacking_changes_nothing(spec, split, cfg)
+
+
+@pytest.mark.parametrize("case", ["k2", "k3-ragged-last-batch",
+                                  "k10-ragged-last-batch"])
+@pytest.mark.parametrize("solver_id", range(1, 11))
+def test_diverged_fold_leaves_the_others_alone(case, solver_id):
+    split, cfg = _stack_case(case)
+    # past the scaling step, so only fold 1's training rows see it
+    split.X_train[1, 5, 2] = np.nan
+    trained = _assert_stacking_changes_nothing(_spec(solver_id), split, cfg)
+    assert [fold_i for fold_i, net in trained.items() if net is None] == [1]
+    scores = evaluate(Genome(hyper=HyperparamVector(
+        learning_rate=0.05, weight_decay=0.01, rho=0.9, beta1=0.9,
+        beta2=0.999, lam=0.5, momentum=0.9, solver_gene=float(solver_id)),
+        neurons=(6.0, 4.0)), split, cfg).per_fold
+    assert scores[1] == {"error": 100.0, "accuracy": 0.0, "f_measure": 0.0}
+    assert all(score["error"] < 100.0 for i, score in enumerate(scores)
+               if i != 1)
