@@ -9,11 +9,13 @@ missingness is injected afterwards as an explicit binary mask.
 
 import csv
 import io
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 CLASS_NAMES = ("safe", "warning", "critical")
+MAX_MISSING_RATE = 0.95
 SAFE_BELOW = 0.5
 CRITICAL_ABOVE = 1.5
 
@@ -239,14 +241,22 @@ def ingest(stream, schema):
                           feature_names=names)
 
 
+def is_missing_rate(rate):
+    """True for a real number, not a bool, in [0, MAX_MISSING_RATE]."""
+    return (isinstance(rate, numbers.Real) and not isinstance(rate, bool)
+            and 0.0 <= rate <= MAX_MISSING_RATE)
+
+
 def inject_missing(ds, rate, seed):
     """Zero out exactly floor(rate * n * p) uniformly chosen entries.
 
     The chosen positions get mask 0 and value 0; everything else is kept.
     The same seed always removes the same positions.
     """
-    if not 0.0 <= rate <= 0.95:
-        raise ValueError(f"missing rate {rate} outside [0, 0.95]")
+    if not is_missing_rate(rate):
+        raise ValueError(
+            f"missing rate {rate!r} is not a number in "
+            f"[0, {MAX_MISSING_RATE}]")
     n, p = ds.X.shape
     total = n * p
     k = int(np.floor(rate * total))

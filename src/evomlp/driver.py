@@ -15,7 +15,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import objective
-from .data import LabeledDataset, as_masked, inject_missing
+from .data import (MAX_MISSING_RATE, LabeledDataset, as_masked,
+                   inject_missing, is_missing_rate)
 from .genome import SearchSpace, decode, grow
 from .objective import EvalConfig
 from .pbmh import (ALGORITHM_NAMES, ConfigError, OptimizerConfig,
@@ -48,6 +49,12 @@ class SearchConfig:
             raise ConfigError(
                 f"stage_budget {self.stage_budget} smaller than "
                 f"population_size {self.population_size}")
+        bad = [rate for rate in self.missing_rates
+               if not is_missing_rate(rate)]
+        if bad:
+            raise ConfigError(
+                f"missing_rates {bad} are not numbers in "
+                f"[0, {MAX_MISSING_RATE}]")
 
 
 @dataclass

@@ -8,7 +8,11 @@ are ordinary affine + rectifier, the output layer is affine + softmax.
 A network keeps all of its parameters in one contiguous vector, `flat`;
 its weight matrices and bias vectors are reshaped views into it. A
 solver trains the network by updating `flat` in place against a gradient
-vector of the same layout, which `loss_and_gradients` can fill.
+vector of the same layout, which `loss_and_gradients` can fill. The
+views a gradient call reads besides those (transposed weights, biases
+with a batch axis) are made once per net, and the loss is computed only
+when a caller asks for it: training takes the gradients alone, from
+one-hot targets its fold split made once.
 
 Cross-validation trains k nets of one architecture at once as a stack:
 one (k, P) buffer with net i in row i, whose weights are (k, fan_in,
@@ -20,7 +24,8 @@ operands, reductions only within its own batch. All nets of a stacked
 call therefore need batches of one length B. A batch is never padded to
 make lengths agree: a padding row, even with zero weight, changes the
 inner dimension of the weight-gradient matmul and with it how BLAS
-accumulates, so the gradient bits would change.
+accumulates, so the gradient bits would change. `init_stack` writes the
+initial weights of each row into the stack's buffer directly.
 """
 
 import numpy as np
@@ -49,13 +54,9 @@ class MaskedMLP:
             if wa.shape[1] != wb.shape[0]:
                 raise ValueError(
                     f"layer shapes do not chain: {wa.shape} -> {wb.shape}")
-        layout, start = [], 0  # (start, stop, shape) per tensor
-        for w in weights:
-            for shape in (w.shape, (w.shape[1],)):
-                stop = start + int(np.prod(shape))
-                layout.append((start, stop, shape))
-                start = stop
-        self._attach(layout, np.empty(start), solver_meta)
+        layout = _layout([weights[0].shape[0]]
+                         + [w.shape[1] for w in weights])
+        self._attach(layout, np.empty(layout[-1][1]), solver_meta)
         given = [t for pair in zip(weights, biases) for t in pair]
         for view, value in zip(self.params, given):
             view[...] = value
@@ -68,6 +69,10 @@ class MaskedMLP:
         self.params = self.unflatten(flat)
         self.weights = self.params[0::2]
         self.biases = self.params[1::2]
+        # what loss_and_gradients reads on every call: the biases with a
+        # batch axis and the transposed weights
+        self._batch_biases = [b[..., np.newaxis, :] for b in self.biases]
+        self._weights_t = [w.swapaxes(-1, -2) for w in self.weights]
         self.solver_meta = solver_meta
 
     @classmethod
@@ -134,20 +139,48 @@ class MaskedMLP:
         return cls(weights, biases, solver_meta=d.get("solver"))
 
 
+def _layout(sizes):
+    """(start, stop, shape) in `flat` of W1, b1, W2, b2, ... for a net
+    with layer widths sizes = [input_dim, hidden..., n_outputs]."""
+    layout, start = [], 0
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        layout.append((start, start + fan_in * fan_out, (fan_in, fan_out)))
+        start += fan_in * fan_out
+        layout.append((start, start + fan_out, (fan_out,)))
+        start += fan_out
+    return layout
+
+
+def init_stack(hidden_layer_sizes, input_dim, seeds, n_outputs=N_OUTPUTS):
+    """A stack of len(seeds) nets, row i initialised from seeds[i]:
+    weights uniform in +-sqrt(6/fan_in), each layer's draw written into
+    the stack's buffer with no net built per row, biases zero."""
+    if input_dim < 1:
+        raise ValueError("input_dim must be >= 1")
+    sizes = [int(input_dim)] + [int(s) for s in hidden_layer_sizes] \
+        + [int(n_outputs)]
+    layout = _layout(sizes)
+    stack = MaskedMLP._over(layout, np.zeros((len(seeds), layout[-1][1])))
+    limits = [np.sqrt(6.0 / fan_in) for fan_in in sizes[:-1]]
+    for row, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        for w, limit in zip(stack.weights, limits):
+            w[row] = rng.uniform(-limit, limit, size=w.shape[1:])
+    return stack
+
+
 def init_network(hidden_layer_sizes, input_dim, seed, n_outputs=N_OUTPUTS,
                  solver_meta=None):
     """Seeded init: weights uniform in +-sqrt(6/fan_in), biases zero."""
-    if input_dim < 1:
-        raise ValueError("input_dim must be >= 1")
-    rng = np.random.default_rng(seed)
-    sizes = [int(input_dim)] + [int(s) for s in hidden_layer_sizes] \
-        + [int(n_outputs)]
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes, sizes[1:]):
-        limit = np.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MaskedMLP(weights, biases, solver_meta=solver_meta)
+    net = init_stack(hidden_layer_sizes, input_dim, [seed], n_outputs).row(0)
+    net.solver_meta = solver_meta
+    return net
+
+
+def one_hot(y, n_outputs=N_OUTPUTS):
+    """Float one-hot rows of integer labels: shape y.shape + (n_outputs,)."""
+    return (np.asarray(y, dtype=int)[..., np.newaxis]
+            == np.arange(n_outputs)).astype(float)
 
 
 def mask_input(x, m):
@@ -159,8 +192,20 @@ def mask_input(x, m):
     return x * m
 
 
+def _row_max(z):
+    """Each row's maximum, shape (..., 1), as a chain of elementwise
+    maxima over the few classes: cheaper than a reduction along the last
+    axis, and as exact (only the sign of a zero maximum may differ, and
+    no shift by it can show that: x - 0.0 == x - -0.0 unless x is a
+    zero, and exp maps either zero to 1)."""
+    top = z[..., :1].copy()
+    for c in range(1, z.shape[-1]):
+        np.maximum(top, z[..., c:c + 1], out=top)
+    return top
+
+
 def _softmax(z):
-    z = z - z.max(axis=-1, keepdims=True)
+    z = z - _row_max(z)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -190,12 +235,16 @@ def predict(net, X, M=None):
     return np.argmax(forward_batch(net, X, M), axis=1)
 
 
-def loss_and_gradients(net, X, M, y, out=None):
+def loss_and_gradients(net, X, M, y, out=None, targets=None,
+                       with_loss=True):
     """Mean cross-entropy over the batch and exact gradients.
 
     Returns (loss, grads) with grads ordered like net.params. The
     gradients are written into `out`, a buffer laid out like net.flat
-    (a fresh one when None), and grads are views into it.
+    (a fresh one when None), and grads are views into it. `targets` are
+    the labels y as one_hot rows; training passes the ones its fold split
+    made once, and y may then be None. With with_loss=False the loss is
+    not computed and comes back as None; the gradients are the same.
 
     For a stack of k nets, X and M are (k, B, p) and y is (k, B): net i
     sees batch i, the loss is one value per net and each gradient row
@@ -207,38 +256,42 @@ def loss_and_gradients(net, X, M, y, out=None):
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[np.newaxis]
-    y = np.asarray(y, dtype=int)
     n = X.shape[-2]
     if n == 0:
         raise ValueError("empty batch")
+    if targets is None:
+        targets = one_hot(y, net.n_outputs)
     a = X if M is None else mask_input(X, np.atleast_2d(M))
 
     # forward, caching pre/post activations for the backward pass
     activations = [a]
     pre = []
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        z = activations[-1] @ w + b[..., np.newaxis, :]
+    for w, b in zip(net.weights[:-1], net._batch_biases[:-1]):
+        z = np.matmul(activations[-1], w)
+        z += b
         pre.append(z)
         activations.append(np.maximum(z, 0.0))
-    logits = activations[-1] @ net.weights[-1] \
-        + net.biases[-1][..., np.newaxis, :]
+    log_probs = np.matmul(activations[-1], net.weights[-1])
+    log_probs += net._batch_biases[-1]
 
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    log_probs = shifted - log_norm
-    target = y[..., np.newaxis] == np.arange(log_probs.shape[-1])
-    loss = -log_probs[target].reshape(y.shape).mean(axis=-1)
-
+    log_probs -= _row_max(log_probs)
     delta = np.exp(log_probs)
-    np.subtract(delta, 1.0, out=delta, where=target)
+    log_probs -= np.log(np.add.reduce(delta, axis=-1, keepdims=True))
+    loss = None
+    if with_loss:
+        loss = -log_probs[targets > 0].reshape(targets.shape[:-1]) \
+            .mean(axis=-1)
+
+    np.exp(log_probs, out=delta)
+    delta -= targets  # x - 0.0 == x, so only the target entries move
     delta /= n
 
     grads = net.unflatten(np.empty_like(net.flat) if out is None else out)
     for layer in range(len(net.weights) - 1, -1, -1):
         np.matmul(activations[layer].swapaxes(-1, -2), delta,
                   out=grads[2 * layer])
-        delta.sum(axis=-2, out=grads[2 * layer + 1])
+        np.add.reduce(delta, axis=-2, out=grads[2 * layer + 1])
         if layer > 0:
-            delta = (delta @ net.weights[layer].swapaxes(-1, -2)) \
-                * (pre[layer - 1] > 0)
+            delta = np.matmul(delta, net._weights_t[layer])
+            delta *= pre[layer - 1] > 0
     return loss, grads

@@ -5,15 +5,18 @@ Training minimizes cross-entropy (the search objective itself, percent
 error, is not differentiable); scoring uses percent error so fitness lives
 in [0, 100] with accuracy = 100 - error on the same predictions.
 
-The fold split, with each fold's min-max scaling and masking, is the same
-for every genome of a run, so `split_folds` makes it once and `evaluate`
-takes it in place of the dataset. Within one evaluation the folds train
-as stacks of nets (see network): folds with training sets of one size
-share a stack, so every mini-batch has one length across the stack and
-nothing is padded, and every fold gets the bits it would get alone.
-`stratified_folds` deals rows round-robin, so training sets take at most
-two sizes and an evaluation at most two stacks. A stack holds at most
-STACK_PARAMS parameters, since its memory grows with k.
+The fold split, with each fold's min-max scaling and masking, its one-hot
+training targets and its groups of folds by training-set size, is the
+same for every genome of a run, so `split_folds` makes it once and
+`evaluate` takes it in place of the dataset. Within one evaluation the
+folds train as stacks of nets (see network): folds with training sets of
+one size share a stack, so every mini-batch has one length across the
+stack and nothing is padded, and every fold gets the bits it would get
+alone. `stratified_folds` deals rows round-robin, so training sets take
+at most two sizes and an evaluation at most two stacks. A stack holds at
+most STACK_PARAMS parameters, since its memory grows with k. Training
+gathers each epoch's rows once, takes every mini-batch as a view of that
+gather, and never asks for the loss.
 """
 
 from dataclasses import dataclass
@@ -82,11 +85,17 @@ def f_measure(pred, truth):
         raise ValueError("pred and truth must have equal length")
     if pred.size == 0:
         raise ValueError("empty prediction set")
+    classes, codes = np.unique(np.concatenate([pred.ravel(), truth.ravel()]),
+                               return_inverse=True)
+    m = classes.size
+    # pairs[c][d]: how many rows are predicted c and truly d
+    pairs = np.bincount(codes[:pred.size] * m + codes[pred.size:],
+                        minlength=m * m).reshape(m, m).tolist()
     scores = []
-    for c in np.union1d(pred, truth):
-        tp = np.count_nonzero((pred == c) & (truth == c))
-        fp = np.count_nonzero((pred == c) & (truth != c))
-        fn = np.count_nonzero((pred != c) & (truth == c))
+    for c, row in enumerate(pairs):
+        tp = row[c]
+        fp = sum(row) - tp
+        fn = sum(other[c] for other in pairs) - tp
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
         if precision + recall:
@@ -147,17 +156,21 @@ class FoldSplit:
     Fold i trains on the rows of X_train[i, :n_train[i]] (min-max scaled
     on its own training rows, then multiplied by their mask, as the
     network's first layer would) with labels y_train[i, :n_train[i]],
-    and is scored on test[i] = (X_test, y_test), scaled and masked the
-    same way. Rows past n_train[i] are never read. The split depends only
-    on the dataset, cfg.folds and cfg.seed, so a run makes it once and
-    scores every genome on it.
+    whose one-hot rows are targets[i, :n_train[i]], and is scored on
+    test[i] = (X_test, y_test), scaled and masked the same way. Rows past
+    n_train[i] are never read. groups lists the folds (as Python ints,
+    which the seeds are derived from) by training-set size, smallest
+    size first. The split depends only on the dataset, cfg.folds and
+    cfg.seed, so a run makes it once and scores every genome on it.
     """
 
     folds: int
     seed: int
     X_train: np.ndarray
     y_train: np.ndarray
+    targets: np.ndarray
     n_train: np.ndarray
+    groups: tuple
     test: tuple
 
     @property
@@ -190,8 +203,11 @@ def split_folds(ds, cfg):
         test.append((network.mask_input(
             _apply_minmax(ds.X[test_idx], M_test, mn, mx), M_test),
             ds.y[test_idx]))
+    groups = tuple(np.flatnonzero(n_train == size).tolist()
+                   for size in np.unique(n_train))
     return FoldSplit(folds=cfg.folds, seed=cfg.seed, X_train=X_train,
-                     y_train=y_train, n_train=n_train, test=tuple(test))
+                     y_train=y_train, targets=network.one_hot(y_train),
+                     n_train=n_train, groups=groups, test=tuple(test))
 
 
 def evaluate(genome, ds, cfg, space=None):
@@ -239,27 +255,22 @@ def _trained_folds(spec, split, cfg):
     solver_spec = SolverSpec(spec.solver_id, spec.active_params)
     sizes = (split.p, *spec.hidden_layer_sizes, network.N_OUTPUTS)
     n_params = sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
-    for folds in _stacks(split.n_train, n_params):
-        stack = network.MaskedMLP.stack([
-            network.init_network(spec.hidden_layer_sizes, split.p,
-                                 seed=derive_seed(cfg.seed, "init", fold_i))
-            for fold_i in folds])
+    for folds in _stacks(split, n_params):
+        stack = network.init_stack(
+            spec.hidden_layer_sizes, split.p,
+            [derive_seed(cfg.seed, "init", fold_i) for fold_i in folds])
         trained = _train(stack, solver_spec, split, folds, cfg)
         for row, fold_i in enumerate(folds):
             yield fold_i, stack.row(row) if trained[row] else None
 
 
-def _stacks(n_train, n_params):
-    """Lists of fold indices (Python ints, which the seeds are derived
-    from) to train together: folds with training sets of one size, at
-    most STACK_PARAMS parameters per stack."""
+def _stacks(split, n_params):
+    """Lists of fold indices to train together: folds of one of the
+    split's groups (training sets of one size), at most STACK_PARAMS
+    parameters per stack."""
     per_stack = max(1, STACK_PARAMS // n_params)
-    stacks = []
-    for size in np.unique(n_train):
-        folds = np.flatnonzero(n_train == size).tolist()
-        stacks += [folds[i:i + per_stack]
-                   for i in range(0, len(folds), per_stack)]
-    return stacks
+    return [folds[i:i + per_stack] for folds in split.groups
+            for i in range(0, len(folds), per_stack)]
 
 
 def _train(stack, solver_spec, split, folds, cfg):
@@ -268,13 +279,15 @@ def _train(stack, solver_spec, split, folds, cfg):
 
     The folds of a stack have training sets of one size, so each
     mini-batch is one gradient call on the whole stack and one solver
-    step, with every row drawing its own batch order. A row whose
-    gradient goes non-finite is dead from then on: its parameter row is
-    zeroed, and so is its gradient row after every gradient call, so the
-    solver steps the other rows to the bits they would get alone (every
-    solver rule is elementwise). The solver and the gradient buffer live
-    only for the call, so one stack's training state is freed before the
-    next stack's is made."""
+    step, with every row drawing its own batch order. Each epoch gathers
+    the rows and targets in that order once, and every batch is a view
+    of that gather; the loss is never computed. A row whose gradient
+    goes non-finite is dead from then on: its parameter row is zeroed,
+    and so is its gradient row after every gradient call, so the solver
+    steps the other rows to the bits they would get alone (every solver
+    rule is elementwise). The solver and the gradient buffer live only
+    for the call, so one stack's training state is freed before the next
+    stack's is made."""
     n = split.n_train[folds[0]]
     rngs = [np.random.default_rng(derive_seed(cfg.seed, "batches", fold_i))
             for fold_i in folds]
@@ -287,11 +300,13 @@ def _train(stack, solver_spec, split, folds, cfg):
         for _ in range(cfg.epochs):
             for row, rng in enumerate(rngs):
                 order[row] = rng.permutation(n)
+            X, targets = (split.X_train[fold_col, order],
+                          split.targets[fold_col, order])
             for start in range(0, n, cfg.batch_size):
-                batch = order[:, start:start + cfg.batch_size]
+                batch = slice(start, start + cfg.batch_size)
                 network.loss_and_gradients(
-                    stack, split.X_train[fold_col, batch], None,
-                    split.y_train[fold_col, batch], out=grads[0])
+                    stack, X[:, batch], None, None, out=grads[0],
+                    targets=targets[:, batch], with_loss=False)
                 if dead is not None:
                     grads[0][dead] = 0.0
                 try:

@@ -93,7 +93,7 @@ def make_solver(spec, param_shapes):
 
 def _check_grads(grads):
     for i, g in enumerate(grads):
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericFaultError(f"non-finite gradient for tensor {i}")
 
 

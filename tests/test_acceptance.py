@@ -173,29 +173,6 @@ DESK_CONFIG = {
 }
 
 
-@pytest.fixture(scope="module")
-def desk_run(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("desk")
-    config = tmp / "config.json"
-    config.write_text(json.dumps(DESK_CONFIG))
-    bench = tmp / "bench"
-    started = time.time()
-    code = cli_main(["benchmark", "--config", str(config),
-                     "--out", str(bench), "--deterministic", "--quiet"])
-    elapsed = time.time() - started
-    assert code == 0
-    stats_dir = tmp / "stats"
-    assert cli_main(["stats", "--results", str(bench / "results.jsonl"),
-                     "--alpha", "0.05", "--out", str(stats_dir)]) == 0
-    report_dir = tmp / "report"
-    assert cli_main(["report", "--results", str(bench / "results.jsonl"),
-                     "--out", str(report_dir)]) == 0
-    records = [json.loads(line) for line
-               in (bench / "results.jsonl").read_text().splitlines()]
-    return {"elapsed": elapsed, "records": records, "stats": stats_dir,
-            "report": report_dir, "bench": bench, "config": config}
-
-
 def _mean_accuracy(records, algorithm, rate):
     accs = [r["accuracy"] for r in records
             if r["algorithm"] == algorithm and r["missing_rate"] == rate]

@@ -178,9 +178,12 @@ def test_max_layers_beyond_space_exits_2(tmp_path, capsys):
     {"eval": {"folds": 2, "epochs": 2, "batch_size": 0, "seed": 0}},
     {"repeats": "2"},
     {"missing_rates": 5},
+    {"missing_rates": ["0.2"]},
+    {"missing_rates": [False]},
 ], ids=["population-3", "budget-below-population", "neuron-min-above-max",
         "fewer-rows-than-folds", "folds-string", "batch-size-0",
-        "repeats-string", "missing-rates-scalar"])
+        "repeats-string", "missing-rates-scalar", "missing-rates-string",
+        "missing-rates-bool"])
 def test_bad_config_exits_2_before_work(tmp_path, capsys, overrides):
     cfg = tiny_config(tmp_path, **overrides)
     out = tmp_path / "b"

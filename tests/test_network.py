@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from evomlp.network import (MaskedMLP, forward, forward_batch, init_network,
-                            loss_and_gradients, mask_input, predict)
+from evomlp.network import (MaskedMLP, _row_max, _softmax, forward,
+                            forward_batch, init_network, init_stack,
+                            loss_and_gradients, mask_input, one_hot, predict)
 
 
 def _random_case(rng, max_hidden_layers=3, max_neurons=16,
@@ -287,3 +288,71 @@ def test_stack_rows_alias_the_stack_buffer():
     with pytest.raises(ValueError):
         MaskedMLP.stack([init_network([5], 3, seed=0),
                          init_network([4], 3, seed=0)])
+
+
+def _drawn_one_by_one(hidden, p, seed):
+    """Reference init: each layer drawn into its own array, then copied
+    into a net, as init_network did before it drew into a stack."""
+    rng = np.random.default_rng(seed)
+    sizes = [p, *hidden, 3]
+    weights = [rng.uniform(-np.sqrt(6.0 / a), np.sqrt(6.0 / a), size=(a, b))
+               for a, b in zip(sizes, sizes[1:])]
+    return MaskedMLP(weights, [np.zeros(b) for b in sizes[1:]])
+
+
+def test_init_stack_rows_equal_init_network():
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        p = int(rng.integers(1, 12))
+        hidden = [int(rng.integers(1, 60))
+                  for _ in range(int(rng.integers(1, 4)))]
+        seeds = rng.integers(1 << 31, size=int(rng.integers(1, 6))).tolist()
+        stack = init_stack(hidden, p, seeds)
+        assert stack.flat.shape[0] == len(seeds)
+        for i, seed in enumerate(seeds):
+            assert np.array_equal(stack.flat[i],
+                                  init_network(hidden, p, seed).flat)
+            assert np.array_equal(stack.flat[i],
+                                  _drawn_one_by_one(hidden, p, seed).flat)
+
+
+def test_gradients_without_loss_equal_gradients_with_it():
+    rng = np.random.default_rng(9)
+    for _ in range(30):
+        k = int(rng.integers(1, 6))
+        p, n = int(rng.integers(2, 10)), int(rng.integers(1, 40))
+        hidden = [int(rng.integers(1, 40))
+                  for _ in range(int(rng.integers(1, 4)))]
+        stack = init_stack(hidden, p, rng.integers(1 << 31, size=k).tolist())
+        X = rng.normal(size=(k, n, p))
+        y = rng.integers(0, 3, size=(k, n))
+        for net, X_, y_ in ((stack, X, y), (stack.row(0), X[0], y[0])):
+            _, with_loss = loss_and_gradients(net, X_, None, y_)
+            with_loss = [g.copy() for g in with_loss]
+            loss, without = loss_and_gradients(
+                net, X_, None, None, targets=one_hot(y_), with_loss=False)
+            assert loss is None
+            for a, b in zip(with_loss, without):
+                assert np.array_equal(a, b)
+            from_labels, _ = loss_and_gradients(net, X_, None, y_)
+            from_targets, _ = loss_and_gradients(net, X_, None, None,
+                                                 targets=one_hot(y_))
+            assert np.array_equal(from_labels, from_targets)
+
+
+def test_row_max_and_softmax_equal_the_reductions():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        shape = tuple(int(s) for s in rng.integers(1, 6, size=rng.integers(
+            1, 4)))
+        z = rng.normal(size=shape) * 30
+        z[rng.random(shape) < 0.2] = 0.0
+        z[rng.random(shape) < 0.2] = -0.0
+        z[rng.random(shape) < 0.05] = -np.inf
+        assert np.array_equal(_row_max(z), z.max(axis=-1, keepdims=True))
+        with np.errstate(invalid="ignore"):
+            shifted = z - z.max(axis=-1, keepdims=True)
+            e = np.exp(shifted)
+            assert np.array_equal(_softmax(z), e / e.sum(axis=-1,
+                                                         keepdims=True),
+                                  equal_nan=True)

@@ -45,6 +45,37 @@ def test_f_measure_single_class():
     assert f_measure([0, 0], [0, 0]) == 100.0
 
 
+def _f_measure_per_class(pred, truth):
+    """The per-class loop f_measure replaced, kept as its reference."""
+    pred, truth = np.asarray(pred), np.asarray(truth)
+    scores = []
+    for c in np.union1d(pred, truth):
+        tp = np.count_nonzero((pred == c) & (truth == c))
+        fp = np.count_nonzero((pred == c) & (truth != c))
+        fn = np.count_nonzero((pred != c) & (truth == c))
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        if precision + recall:
+            scores.append(2 * precision * recall / (precision + recall))
+        else:
+            scores.append(0.0)
+    return 100.0 * float(np.mean(scores))
+
+
+def test_f_measure_equals_per_class_reference():
+    rng = np.random.default_rng(8)
+    cases = [([2, 2, 2], [2, 2, 2]), ([1, 1], [0, 0]), ([0, 1, 2], [2, 2, 2]),
+             ([-3, 7, 7, 0], [7, 7, -3, 5])]
+    for _ in range(500):
+        n = int(rng.integers(1, 80))
+        classes = int(rng.integers(1, 5))
+        # some classes occur in only one of pred and truth
+        cases.append((rng.integers(0, classes, n),
+                      rng.integers(int(rng.integers(0, 2)), classes + 1, n)))
+    for pred, truth in cases:
+        assert f_measure(pred, truth) == _f_measure_per_class(pred, truth)
+
+
 def test_stratified_folds_partition():
     rng = np.random.default_rng(0)
     y = rng.integers(0, 3, size=57)
@@ -281,7 +312,7 @@ def test_stacked_training_matches_each_fold_alone(case, solver_id):
 @pytest.mark.parametrize("case", sorted(STACK_CASES))
 def test_stacks_hold_folds_of_one_training_size(case):
     split, cfg = _stack_case(case)
-    stacks = objective._stacks(split.n_train, n_params=1)
+    stacks = objective._stacks(split, n_params=1)
     assert sorted(f for s in stacks for f in s) == list(range(cfg.folds))
     sizes = [set(split.n_train[s].tolist()) for s in stacks]
     assert all(len(size) == 1 for size in sizes)
@@ -294,7 +325,7 @@ def test_stacks_split_by_parameter_cap(monkeypatch, solver_id):
     spec = _spec(solver_id)
     n_params = init_network(spec.hidden_layer_sizes, split.p, 0).flat.size
     monkeypatch.setattr(objective, "STACK_PARAMS", 3 * n_params + 1)
-    stacks = objective._stacks(split.n_train, n_params)
+    stacks = objective._stacks(split, n_params)
     assert [len(s) for s in stacks] == [3, 3, 3, 1]
     _assert_stacking_changes_nothing(spec, split, cfg)
 

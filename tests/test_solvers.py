@@ -146,6 +146,18 @@ def test_non_finite_gradient_names_tensor():
         solver.step(params, bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("solver_id", sorted(SOLVER_NAMES))
+def test_non_finite_gradient_raises_before_any_change(solver_id, bad):
+    solver, _ = _mid_solver(solver_id, [(2, 5)])
+    w = np.ones((2, 5))
+    g = np.zeros((2, 5))
+    g[1, 3] = bad
+    with pytest.raises(NumericFaultError, match="tensor 0"):
+        solver.step([w], [g])
+    assert solver.t == 0 and np.all(w == 1.0)
+
+
 def test_beta_one_edge_stays_finite():
     # the genome's closed interval admits beta = 1.0 exactly
     for solver_id in (1, 3, 4, 6, 7):
