@@ -5,7 +5,7 @@ nonparametric toolkit: Friedman average ranks over the rate conditions,
 pairwise Wilcoxon verdicts with win/tie/loss counts, and the stability
 score (std of mean accuracy across rates; lower = more resilient).
 
-Writes CSV/JSON/SVG outputs into demo_output/ and takes a minute or two.
+Writes CSV/JSON/SVG outputs into demo_output/ and takes a few seconds.
 """
 
 import json

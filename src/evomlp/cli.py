@@ -25,7 +25,7 @@ EXIT_INPUT = 2
 EXIT_PARTIAL = 3
 
 _DATASET_KEYS = {"type", "n", "p", "classes", "separation", "seed",
-                 "path", "mask"}
+                 "path"}
 
 
 def _check_keys(mapping, allowed, context):
@@ -94,14 +94,19 @@ def load_dataset(spec, base_dir="."):
         raise ConfigError("config has no 'dataset' entry")
     kind = spec.get("type")
     if kind == "synthetic":
-        return data.synthesize(
-            n=spec.get("n", 600), p=spec.get("p", 12),
-            n_classes=spec.get("classes", 3),
-            separation=spec.get("separation", 4.0),
-            seed=spec.get("seed", 0))
+        n, p, classes, seed = (spec.get(key, default) for key, default in (
+            ("n", 600), ("p", 12), ("classes", 3), ("seed", 0)))
+        separation = spec.get("separation", 4.0)
+        if (any(type(v) is not int for v in (n, p, classes, seed))
+                or type(separation) not in (int, float)):
+            raise ConfigError("dataset n, p, classes and seed must be "
+                              "integers and separation a number")
+        return data.synthesize(n=n, p=p, n_classes=classes,
+                               separation=separation, seed=seed)
     if kind == "csv":
-        path = os.path.join(base_dir, spec["path"])
-        return data.read_dataset_csv(path)
+        if not isinstance(spec.get("path"), str):
+            raise ConfigError("a csv dataset needs a 'path' string")
+        return data.read_dataset_csv(os.path.join(base_dir, spec["path"]))
     raise ConfigError(f"unknown dataset type {kind!r}")
 
 

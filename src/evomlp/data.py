@@ -281,6 +281,9 @@ def synthesize(n, p, n_classes, separation, seed):
     sit `separation` away from the origin along random directions."""
     if n < 1 or p < 1 or n_classes < 1:
         raise ValueError("n, p and n_classes must all be >= 1")
+    if n_classes > len(CLASS_NAMES):
+        raise ValueError(f"n_classes {n_classes} exceeds the "
+                         f"{len(CLASS_NAMES)} classes {CLASS_NAMES}")
     rng = np.random.default_rng(seed)
     directions = rng.standard_normal((n_classes, p))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)

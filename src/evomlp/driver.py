@@ -1,8 +1,10 @@
 """Layer-growth search per algorithm and the full benchmark grid.
 
 A run sweeps the hidden-layer count from 1 to space.max_layers, spending a
-fixed evaluation budget per count; the incumbent best genome is grown to
-the new layer count and injected into each next stage. The benchmark
+fixed evaluation budget per count; the best genome of the stages so far
+is grown to the new layer count and injected into each next stage. A
+stage reports its best genome with the EvalResult that scored it, and the
+run reports the first stage with the lowest fitness. The benchmark
 crosses algorithms x missing rates x repeats, with one fixed mask per
 rate so every algorithm faces identical missingness.
 """
@@ -85,30 +87,6 @@ class RunRecord:
         return cls(**d)
 
 
-class _BestTracker:
-    """Scores genomes on one fold split of ds, made here once for the
-    whole run, counts calls, and remembers the best EvalResult."""
-
-    def __init__(self, ds, eval_cfg, space):
-        self.split = objective.split_folds(ds, eval_cfg)
-        self.eval_cfg = eval_cfg
-        self.space = space
-        self.calls = 0
-        self.best_fitness = np.inf
-        self.best_genome = None
-        self.best_result = None
-
-    def __call__(self, genome):
-        result = objective.evaluate(genome, self.split, self.eval_cfg,
-                                    self.space)
-        self.calls += 1
-        if result.fitness < self.best_fitness:
-            self.best_fitness = result.fitness
-            self.best_genome = genome
-            self.best_result = result
-        return result.fitness
-
-
 def _grow_to(genome, space, n_layers, rng):
     while genome.n_layers < n_layers:
         genome = grow(genome, space, rng)
@@ -122,35 +100,33 @@ def layer_growth_search(algorithm, ds, cfg, seed, deterministic=False):
     the reported accuracy/F-measure come from the same evaluation.
     """
     started = time.perf_counter()
-    tracker = _BestTracker(ds, cfg.eval, cfg.space)
+    split = objective.split_folds(ds, cfg.eval)
+    best = None  # the first stage with the lowest best fitness
     stage_traces = []
     for n_layers in range(1, cfg.space.max_layers + 1):
-        warm = None
-        if tracker.best_genome is not None:
-            warm = _grow_to(tracker.best_genome, cfg.space, n_layers,
-                            np.random.default_rng(
-                                derive_seed(seed, "grow", n_layers)))
+        warm = None if best is None else _grow_to(
+            best.best_genome, cfg.space, n_layers,
+            np.random.default_rng(derive_seed(seed, "grow", n_layers)))
         stage = optimize_stage(
             OptimizerConfig(algorithm=algorithm,
                             population_size=cfg.population_size,
                             stage_budget=cfg.stage_budget,
                             seed=derive_seed(seed, "stage", n_layers)),
-            cfg.space, n_layers, tracker, warm_start=warm)
+            cfg.space, n_layers,
+            lambda g: objective.evaluate(g, split, cfg.eval, cfg.space),
+            warm_start=warm)
         stage_traces.append(list(stage.trace))
+        if best is None or stage.best_fitness < best.best_fitness:
+            best = stage
 
-    expected = cfg.space.max_layers * cfg.stage_budget
-    if tracker.calls != expected:
-        raise RuntimeError(
-            f"evaluation ledger mismatch: {tracker.calls} != {expected}")
-
-    spec = decode(tracker.best_genome, cfg.space)
+    spec = decode(best.best_genome, cfg.space)
     return RunRecord(
         algorithm=algorithm,
         missing_rate=round(1.0 - float(np.mean(ds.M)), 6),
         repeat=0,
-        fitness=tracker.best_fitness,
-        accuracy=tracker.best_result.accuracy,
-        f_measure=tracker.best_result.f_measure,
+        fitness=best.best_fitness,
+        accuracy=best.best_value.accuracy,
+        f_measure=best.best_value.f_measure,
         architecture={
             "hidden_layer_sizes": list(spec.hidden_layer_sizes),
             "solver_id": spec.solver_id,
@@ -158,9 +134,9 @@ def layer_growth_search(algorithm, ds, cfg, seed, deterministic=False):
             "learning_rate": spec.active_params["learning_rate"],
             "active_params": spec.active_params,
         },
-        genome=tracker.best_genome.to_dict(),
+        genome=best.best_genome.to_dict(),
         stage_traces=stage_traces,
-        n_evaluations=tracker.calls,
+        n_evaluations=sum(len(trace) for trace in stage_traces),
         seed=seed,
         wall_time=None if deterministic else time.perf_counter() - started,
     )

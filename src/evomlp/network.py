@@ -30,7 +30,9 @@ initial weights of each row into the stack's buffer directly.
 
 import numpy as np
 
-N_OUTPUTS = 3  # safe / warning / critical
+from .data import CLASS_NAMES
+
+N_OUTPUTS = len(CLASS_NAMES)
 
 
 class MaskedMLP:

@@ -53,13 +53,8 @@ class EvalResult:
     f_measure: float
     per_fold: tuple
 
-    def to_dict(self):
-        return {
-            "fitness": self.fitness,
-            "accuracy": self.accuracy,
-            "f_measure": self.f_measure,
-            "per_fold": [dict(f) for f in self.per_fold],
-        }
+    def __float__(self):
+        return self.fitness
 
 
 def classification_error(pred, truth):

@@ -1,19 +1,22 @@
 """Thirteen population-based metaheuristics behind one minimizing API.
 
 `minimize` drives any of them on raw bounded vectors; `optimize_stage`
-wraps that for genome search at a fixed layer count. Both spend exactly
-the requested number of objective evaluations and report the best
-candidate ever evaluated.
+wraps that for genome search at a fixed layer count. A runner breeds
+candidates and calls `budget.eval`, and the Budget ends it; `minimize`
+then checks, for every caller, that exactly the requested number of
+evaluations was spent. The objective may return anything `float()`
+accepts; the best candidate's own return is `OptResult.value`.
 """
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..genome import Genome
 from .cmaes import CMAES_CONSTANTS, run_cmaes
-from .core import (Budget, ConfigError, NonFiniteObjectiveError,
-                   OptimizerConfig, OptResult)
+from .core import (Budget, BudgetSpent, ConfigError,
+                   NonFiniteObjectiveError, OptimizerConfig, OptResult)
 from .de import (DE_CONSTANTS, JADE_CONSTANTS, LSHADE_CONSTANTS,
                  SAPDE_CONSTANTS, SHADE_CONSTANTS, run_de, run_jade,
                  run_lshade, run_sapde, run_shade)
@@ -78,11 +81,12 @@ def canonical_name(name):
 
 @dataclass(frozen=True)
 class StageResult:
-    """Best genome of one fixed-layer-count stage plus its raw fitness
-    trace (one entry per evaluation, in evaluation order)."""
+    """Best genome of one fixed-layer-count stage, the evaluator's return
+    for it, and the raw fitness trace (one entry per evaluation)."""
 
     best_genome: Genome
     best_fitness: float
+    best_value: object
     trace: tuple
 
 
@@ -90,9 +94,9 @@ def minimize(algorithm, fn, lower, upper, population_size, budget, seed,
              x0=None):
     """Run one algorithm on a bounded vector objective.
 
-    Spends exactly `budget` evaluations (initial population included)
-    and returns the incumbent best, regardless of what the algorithm's
-    own selection scheme kept alive.
+    Spends exactly `budget` evaluations (initial population included),
+    else raises RuntimeError, and returns the incumbent best, regardless
+    of what the algorithm's own selection scheme kept alive.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -103,19 +107,23 @@ def minimize(algorithm, fn, lower, upper, population_size, budget, seed,
     if budget < population_size:
         raise ConfigError(
             f"budget {budget} smaller than population {population_size}")
-    runner = _REGISTRY[canonical_name(algorithm)][0]
-    tracker = Budget(fn, budget)
-    rng = np.random.default_rng(seed)
-    runner(tracker, lower, upper, population_size, rng, x0)
-    return OptResult(x=tracker.best_x, fitness=tracker.best_f,
-                     trace=np.array(tracker.trace))
+    name = canonical_name(algorithm)
+    ledger = Budget(fn, budget)
+    with suppress(BudgetSpent):
+        _REGISTRY[name][0](ledger, lower, upper, population_size,
+                           np.random.default_rng(seed), x0)
+    if ledger.used != budget:
+        raise RuntimeError(
+            f"{name} spent {ledger.used} of {budget} evaluations")
+    return OptResult(x=ledger.best_x, fitness=ledger.best_f,
+                     value=ledger.best_value, trace=np.array(ledger.trace))
 
 
 def optimize_stage(cfg, space, n_layers, evaluator, warm_start=None):
     """Genome search at a fixed layer count.
 
-    evaluator maps a Genome to a scalar fitness; warm_start (same layer
-    count) is injected as one member of the initial population.
+    evaluator maps a Genome to anything `float()` turns into its fitness;
+    warm_start (same layer count) is one member of the first population.
     """
     if warm_start is not None and warm_start.n_layers != n_layers:
         raise ConfigError(
@@ -133,4 +141,5 @@ def optimize_stage(cfg, space, n_layers, evaluator, warm_start=None):
     )
     return StageResult(best_genome=Genome.from_vector(result.x),
                        best_fitness=result.fitness,
+                       best_value=result.value,
                        trace=tuple(result.trace))

@@ -1,10 +1,11 @@
 """Shared machinery for the population-based optimizers.
 
-Every algorithm runs behind the same contract: it gets an evaluation
-budget, spends exactly that many objective calls (initial population
-included), keeps every candidate inside the box bounds, and the best
-solution ever evaluated is what the stage reports (elitism is enforced
-here, not inside each algorithm's own selection scheme).
+Every algorithm runs behind the same contract: a runner only breeds
+candidates inside the box bounds and scores them with `budget.eval`. The
+Budget ends the run (it raises `BudgetSpent` in place of an evaluation
+past its limit) and keeps the best candidate ever evaluated, so elitism
+is enforced here, not in each algorithm's own selection scheme.
+`minimize` checks that exactly the budget was spent.
 """
 
 from dataclasses import dataclass
@@ -35,14 +36,20 @@ class OptResult:
 
     x: np.ndarray
     fitness: float
+    value: object  # the objective's own return at x
     trace: np.ndarray  # raw objective value of every evaluation, in order
 
     def incumbent_trace(self):
         return np.minimum.accumulate(self.trace)
 
 
+class BudgetSpent(Exception):
+    """Ends a runner in place of an evaluation past the limit."""
+
+
 class Budget:
-    """Counts objective calls and tracks the incumbent best."""
+    """Counts objective calls and keeps the incumbent best; `fn` may
+    return anything `float()` accepts, kept for the best as best_value."""
 
     def __init__(self, fn, limit):
         self.fn = fn
@@ -51,6 +58,7 @@ class Budget:
         self.trace = []
         self.best_x = None
         self.best_f = np.inf
+        self.best_value = None
 
     @property
     def remaining(self):
@@ -62,8 +70,9 @@ class Budget:
 
     def eval(self, x):
         if self.exhausted:
-            raise RuntimeError("evaluation budget exhausted")
-        f = float(self.fn(x))
+            raise BudgetSpent
+        value = self.fn(x)
+        f = float(value)
         if not np.isfinite(f):
             raise NonFiniteObjectiveError(
                 f"objective returned {f} at evaluation index {self.used}")
@@ -72,6 +81,7 @@ class Budget:
         if f < self.best_f:
             self.best_f = f
             self.best_x = np.array(x, dtype=float)
+            self.best_value = value
         return f
 
     @property

@@ -44,8 +44,6 @@ def run_de(budget, lo, hi, pop_size, rng, x0=None):
     while not budget.exhausted:
         arr, farr = X.copy(), f.copy()  # breed from the old generation
         for i in range(pop_size):
-            if budget.exhausted:
-                break
             trial = np.clip(binomial_crossover(
                 arr[i], _mutant_ctr1(arr, i, rng, F), CR, rng), lo, hi)
             tf = budget.eval(trial)
@@ -73,8 +71,6 @@ def run_sapde(budget, lo, hi, pop_size, rng, x0=None):
         arr = np.array(X)
         farr = np.array(f)
         for i in range(n):
-            if budget.exhausted:
-                break
             r1, r2, r3 = distinct_indices(rng, n, 3, {i})
             donor = arr[i] + F * (arr[r1] - arr[i]) + F * (arr[r2] - arr[r3])
             trial = np.clip(binomial_crossover(arr[i], donor, CR, rng), lo, hi)
@@ -89,7 +85,7 @@ def run_sapde(budget, lo, hi, pop_size, rng, x0=None):
             X = [X[k] for k in keep]
             f = [f[k] for k in keep]
             pi = [pi[k] for k in keep]
-        while target > len(X) and not budget.exhausted:
+        while target > len(X):
             newcomer = rng.uniform(lo, hi)
             X.append(newcomer)
             f.append(budget.eval(newcomer))
@@ -149,8 +145,6 @@ def run_jade(budget, lo, hi, pop_size, rng, x0=None):
         arr, farr = X.copy(), f.copy()
         s_cr, s_f = [], []
         for i in range(pop_size):
-            if budget.exhausted:
-                break
             cr_i = float(np.clip(
                 rng.normal(mu_cr, JADE_CONSTANTS["cr_sigma"]), 0, 1))
             f_i = _cauchy_factor(rng, mu_f, JADE_CONSTANTS["f_scale"])
@@ -187,8 +181,6 @@ def _shade_loop(budget, lo, hi, pop_size, rng, x0, shrink):
         farr = np.array(f)
         s_cr, s_f, deltas = [], [], []
         for i in range(n):
-            if budget.exhausted:
-                break
             slot = int(rng.integers(0, H))
             cr_i = float(np.clip(rng.normal(mem_cr[slot], 0.1), 0, 1))
             f_i = _cauchy_factor(rng, mem_f[slot], 0.1)

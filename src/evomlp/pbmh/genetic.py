@@ -38,8 +38,6 @@ def _ga_generation(X, f, lo, hi, budget, rng):
     elite_x, elite_f = X[elite].copy(), f[elite]
     children = [_breed(X, f, lo, hi, span, rng) for _ in range(pop - 1)]
     for i, child in enumerate(children, start=1):
-        if budget.exhausted:
-            break
         f[i] = budget.eval(child)
         X[i] = child
     X[0], f[0] = elite_x, elite_f
@@ -59,14 +57,10 @@ def run_ma(budget, lo, hi, pop_size, rng, x0=None):
     while not budget.exhausted:
         _ga_generation(X, f, lo, hi, budget, rng)
         for i in range(X.shape[0]):
-            if budget.exhausted:
-                break
             if rng.random() >= MA_CONSTANTS["local_search_prob"]:
                 continue
             cur, cur_f = X[i].copy(), f[i]
             for _ in range(MA_CONSTANTS["local_search_trials"]):
-                if budget.exhausted:
-                    break
                 cand = np.clip(cur + rng.normal(0.0, sigma), lo, hi)
                 cand_f = budget.eval(cand)
                 if cand_f < cur_f:

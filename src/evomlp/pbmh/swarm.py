@@ -122,8 +122,6 @@ def run_pso(budget, lo, hi, pop_size, rng, x0=None):
                     PSO_CONSTANTS["inertia_min"], budget.progress)
         g = swarm.gbest.copy()
         for i in range(pop_size):
-            if budget.exhausted:
-                break
             swarm.V[i] = pso_velocity(
                 swarm.V[i], swarm.X[i], swarm.pbest[i], g,
                 w, c1, c2, rng.random(d), rng.random(d))
@@ -147,8 +145,6 @@ def run_hpso(budget, lo, hi, pop_size, rng, x0=None):
                        progress) * span
         g = swarm.gbest.copy()
         for i in range(pop_size):
-            if budget.exhausted:
-                break
             if stalled[i] >= cfg["stagnation_limit"]:
                 swarm.V[i] = rng.uniform(-step, step)
                 stalled[i] = 0
@@ -174,8 +170,6 @@ def run_cpso(budget, lo, hi, pop_size, rng, x0=None):
         f_avg = float(np.mean(swarm.f))
         f_min = float(np.min(swarm.f))
         for i in range(pop_size):
-            if budget.exhausted:
-                break
             w = aiwf(swarm.f[i], f_avg, f_min,
                      cfg["inertia_min"], cfg["inertia_max"])
             swarm.V[i] = pso_velocity(
@@ -187,8 +181,6 @@ def run_cpso(budget, lo, hi, pop_size, rng, x0=None):
             gbest_f = swarm.pbest_f[swarm.gbest_index]
         radius = cfg["chaos_radius_frac"] * (1.0 - budget.progress) * span
         for _ in range(cfg["chaos_points"]):
-            if budget.exhausted:
-                break
             z = logistic_map(z)
             cand = np.clip(gbest + radius * (2.0 * z - 1.0), lo, hi)
             cand_f = budget.eval(cand)
@@ -236,8 +228,6 @@ def run_clpso(budget, lo, hi, pop_size, rng, x0=None):
     while not budget.exhausted:
         w = _linear(cfg["inertia_max"], cfg["inertia_min"], budget.progress)
         for i in range(pop_size):
-            if budget.exhausted:
-                break
             if stalled[i] >= cfg["refreshing_gap"]:
                 exemplars[i] = _build_exemplar(i, pc[i], swarm.pbest_f, d,
                                                rng)
@@ -255,8 +245,6 @@ def run_ppso(budget, lo, hi, pop_size, rng, x0=None):
     while not budget.exhausted:
         g = swarm.gbest.copy()
         for i in range(pop_size):
-            if budget.exhausted:
-                break
             swarm.V[i] = ppso_velocity(theta[i], swarm.X[i],
                                        swarm.pbest[i], g)
             swarm.move_and_score(i, budget, lo, hi)

@@ -180,10 +180,17 @@ def test_max_layers_beyond_space_exits_2(tmp_path, capsys):
     {"missing_rates": 5},
     {"missing_rates": ["0.2"]},
     {"missing_rates": [False]},
+    {"dataset": {"type": "synthetic", "n": 60, "p": 4, "classes": 5}},
+    {"dataset": {"type": "synthetic", "n": "600", "p": 4, "classes": 3}},
+    {"dataset": {"type": "synthetic", "n": 60, "p": 4, "classes": 3.5}},
+    {"dataset": {"type": "csv"}},
+    {"dataset": {"type": "synthetic", "n": 60, "p": 4, "classes": 3,
+                 "mask": "mask.csv"}},
 ], ids=["population-3", "budget-below-population", "neuron-min-above-max",
         "fewer-rows-than-folds", "folds-string", "batch-size-0",
         "repeats-string", "missing-rates-scalar", "missing-rates-string",
-        "missing-rates-bool"])
+        "missing-rates-bool", "classes-beyond-labels", "n-string",
+        "classes-float", "csv-without-path", "mask-key"])
 def test_bad_config_exits_2_before_work(tmp_path, capsys, overrides):
     cfg = tiny_config(tmp_path, **overrides)
     out = tmp_path / "b"

@@ -9,7 +9,10 @@ two configs against digests kept in golden_digests.json:
   STACK_PARAMS lowered for the test, a group of folds trains as several
   stacks;
 - "desk": the acceptance tests' desk run (the `desk_run` fixture), on
-  small nets whose folds all share one stack.
+  small nets whose folds all share one stack;
+- "pbmh": the traces and incumbents of `minimize` for all 13 optimizers
+  on a 10-D Rastrigin, at budgets that end on and within a generation
+  (CMA-ES's truncated one included), each run cold and warm-started.
 
 The digests depend on the floating-point library underneath, so the
 file records the NumPy version and BLAS they were taken with, and a
@@ -26,6 +29,7 @@ import pytest
 
 from evomlp import objective
 from evomlp.cli import load_config, load_dataset, main
+from evomlp.pbmh import ALGORITHM_NAMES, minimize
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_digests.json")
                     .read_text())
@@ -56,8 +60,21 @@ def _blas():
         return "unknown"
 
 
-def _assert_golden(name, results):
-    digest = hashlib.sha256(results.read_bytes()).hexdigest()
+# (population, budget) pairs of the "pbmh" digest; each runs with seed =
+# budget, once cold and once from PBMH_WARM_START
+PBMH_RUNS = ((4, 4), (4, 9), (6, 10), (10, 13), (10, 64), (10, 301))
+PBMH_WARM_START = np.linspace(-4.5, 4.5, 10)
+
+
+def _rastrigin(x):
+    return float(10 * x.size + np.sum(x * x - 10 * np.cos(2 * np.pi * x)))
+
+
+def _file_digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _assert_golden(name, digest):
     if digest == GOLDEN["digests"][name]:
         return
     here = {"numpy": np.__version__, "blas": _blas()}
@@ -67,7 +84,7 @@ def _assert_golden(name, results):
         f"; the golden digests were taken with NumPy {recorded['numpy']} "
         f"and BLAS {recorded['blas']}, this run has NumPy "
         f"{here['numpy']} and BLAS {here['blas']}")
-    pytest.fail(f"{name}: results.jsonl sha256 {digest}, golden "
+    pytest.fail(f"{name}: sha256 {digest}, golden "
                 f"{GOLDEN['digests'][name]}{environment}")
 
 
@@ -86,8 +103,21 @@ def test_small_config_matches_golden(tmp_path, monkeypatch):
     out = tmp_path / "bench"
     assert main(["benchmark", "--config", str(config), "--out", str(out),
                  "--deterministic", "--quiet"]) == 0
-    _assert_golden("small", out / "results.jsonl")
+    _assert_golden("small", _file_digest(out / "results.jsonl"))
 
 
 def test_desk_run_matches_golden(desk_run):
-    _assert_golden("desk", desk_run["bench"] / "results.jsonl")
+    _assert_golden("desk", _file_digest(desk_run["bench"] / "results.jsonl"))
+
+
+def test_optimizers_match_golden():
+    lower, upper = np.full(10, -5.0), np.full(10, 5.0)
+    digest = hashlib.sha256()
+    for algorithm in ALGORITHM_NAMES:
+        for population, budget in PBMH_RUNS:
+            for x0 in (None, PBMH_WARM_START):
+                result = minimize(algorithm, _rastrigin, lower, upper,
+                                  population, budget, seed=budget, x0=x0)
+                digest.update(result.trace.tobytes())
+                digest.update(result.x.tobytes())
+    _assert_golden("pbmh", digest.hexdigest())

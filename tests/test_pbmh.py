@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evomlp import pbmh
 from evomlp.genome import Genome, SearchSpace, random_genome
 from evomlp.pbmh import (ALGORITHM_NAMES, ConfigError,
                          NonFiniteObjectiveError, OptimizerConfig,
@@ -36,6 +37,17 @@ def test_budget_exactness_all_algorithms():
             r = minimize(alg, counted, LO10, HI10, 10, budget, seed=3)
             assert len(calls) == budget, alg
             assert len(r.trace) == budget, alg
+
+
+def test_runner_that_stops_short_is_refused(monkeypatch):
+    def lazy(budget, lo, hi, pop_size, rng, x0=None):
+        for _ in range(pop_size):
+            budget.eval(rng.uniform(lo, hi))
+
+    monkeypatch.setitem(pbmh._REGISTRY, "DE",
+                        (lazy, pbmh._REGISTRY["DE"][1]))
+    with pytest.raises(RuntimeError, match="DE spent 10 of 30 evaluations"):
+        minimize("de", sphere, LO10, HI10, 10, 30, seed=0)
 
 
 def test_bound_feasibility_all_algorithms():
@@ -235,6 +247,31 @@ def test_optimize_stage_genome_contract():
     assert all(isinstance(g, Genome) and g.n_layers == 2 for g in seen)
     assert result.best_genome.n_layers == 2
     assert result.best_fitness == min(result.trace)
+
+
+def test_optimize_stage_keeps_evaluator_return_of_best():
+    space = SearchSpace()
+    returned = {}
+
+    class Score:
+        def __init__(self, value):
+            self.value = value
+
+        def __float__(self):
+            return self.value
+
+    def evaluator(genome):
+        score = Score(float(np.sum(np.array(genome.neurons) ** 2)))
+        returned[genome.to_vector().tobytes()] = score
+        return score
+
+    cfg = OptimizerConfig(algorithm="JADE", population_size=6,
+                          stage_budget=25, seed=4)
+    result = optimize_stage(cfg, space, 2, evaluator)
+    assert result.best_value \
+        is returned[result.best_genome.to_vector().tobytes()]
+    assert float(result.best_value) == result.best_fitness \
+        == min(result.trace)
 
 
 def test_optimize_stage_warm_start_layer_check():
