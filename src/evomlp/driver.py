@@ -19,10 +19,10 @@ import numpy as np
 from . import objective
 from .data import (MAX_MISSING_RATE, LabeledDataset, as_masked,
                    inject_missing, is_missing_rate)
-from .genome import SearchSpace, decode, grow
-from .objective import EvalConfig
+from .genome import SearchSpace, check_int_fields, decode, grow
+from .objective import EvalConfig, FoldSplit
 from .pbmh import (ALGORITHM_NAMES, ConfigError, OptimizerConfig,
-                   optimize_stage)
+                   canonical_name, optimize_stage)
 from .seeding import derive_seed
 
 
@@ -43,6 +43,7 @@ class SearchConfig:
     space: SearchSpace = field(default_factory=SearchSpace)
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
         if self.population_size < 4:
@@ -57,6 +58,21 @@ class SearchConfig:
             raise ConfigError(
                 f"missing_rates {bad} are not numbers in "
                 f"[0, {MAX_MISSING_RATE}]")
+        # an unknown algorithm is kept as given: its cells fail alone
+        for key, values in (
+                ("algorithms", [_known_or_given(a) for a in self.algorithms]),
+                ("missing_rates", self.missing_rates)):
+            if not values:
+                raise ConfigError(f"{key} must not be empty")
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{key} {list(values)} repeat an entry")
+
+
+def _known_or_given(algorithm):
+    try:
+        return canonical_name(algorithm)
+    except ConfigError:
+        return algorithm
 
 
 @dataclass
@@ -96,11 +112,13 @@ def _grow_to(genome, space, n_layers, rng):
 def layer_growth_search(algorithm, ds, cfg, seed, deterministic=False):
     """One full run: space.max_layers stages of stage_budget evaluations.
 
-    Returns a RunRecord for the best genome over all stages; fitness and
-    the reported accuracy/F-measure come from the same evaluation.
+    ds is a dataset or the FoldSplit of one made with cfg.eval. Returns a
+    RunRecord for the best genome over all stages; fitness and the
+    reported accuracy/F-measure come from the same evaluation.
     """
     started = time.perf_counter()
-    split = objective.split_folds(ds, cfg.eval)
+    split = ds if isinstance(ds, FoldSplit) else objective.split_folds(
+        ds, cfg.eval)
     best = None  # the first stage with the lowest best fitness
     stage_traces = []
     for n_layers in range(1, cfg.space.max_layers + 1):
@@ -122,7 +140,7 @@ def layer_growth_search(algorithm, ds, cfg, seed, deterministic=False):
     spec = decode(best.best_genome, cfg.space)
     return RunRecord(
         algorithm=algorithm,
-        missing_rate=round(1.0 - float(np.mean(ds.M)), 6),
+        missing_rate=split.missing_rate,
         repeat=0,
         fitness=best.best_fitness,
         accuracy=best.best_value.accuracy,
@@ -144,9 +162,9 @@ def layer_growth_search(algorithm, ds, cfg, seed, deterministic=False):
 
 def _benchmark_cell(task):
     """One grid cell; errors become error records so the grid survives."""
-    masked, algorithm, rate, rep, cfg, run_seed, deterministic = task
+    split, algorithm, rate, rep, cfg, run_seed, deterministic = task
     try:
-        record = layer_growth_search(algorithm, masked, cfg, run_seed,
+        record = layer_growth_search(algorithm, split, cfg, run_seed,
                                      deterministic=deterministic)
         record.missing_rate = rate
         record.repeat = rep
@@ -164,10 +182,12 @@ def run_benchmark(ds, cfg, out_path=None, deterministic=False,
     """Full grid: every (missing rate, algorithm, repeat) cell.
 
     Masks are drawn once per rate, so all algorithms and repeats face the
-    same missingness. A failing cell becomes an error record and the
-    benchmark keeps going. Records append to out_path (JSON lines) in
-    grid order as they complete; jobs > 1 runs cells in a process pool
-    (the output is identical, persistence stays ordered).
+    same missingness, and each rate's fold split (objective.FoldSplit) is
+    made once, before any cell runs, and handed to its cells (pickled
+    with each task when jobs > 1). A failing cell becomes an error record
+    and the benchmark keeps going. Records append to out_path (JSON
+    lines) in grid order as they complete; jobs > 1 runs cells in a
+    process pool (the output is identical, persistence stays ordered).
     """
     if not isinstance(ds, LabeledDataset):
         raise TypeError("run_benchmark expects a complete LabeledDataset")
@@ -182,11 +202,12 @@ def run_benchmark(ds, cfg, out_path=None, deterministic=False,
                   inject_missing(ds, rate,
                                  derive_seed(cfg.master_seed, "mask",
                                              rate)))
+        split = objective.split_folds(masked, cfg.eval)
         for algorithm in cfg.algorithms:
             for rep in range(cfg.repeats):
                 run_seed = derive_seed(cfg.master_seed, "run", algorithm,
                                        rate, rep)
-                tasks.append((masked, algorithm, rate, rep, cfg, run_seed,
+                tasks.append((split, algorithm, rate, rep, cfg, run_seed,
                               deterministic))
 
     sink = open(out_path, "w") if out_path else None

@@ -6,6 +6,9 @@ are real-valued so any continuous optimizer can move them; integer genes
 (solver choice, neuron counts) are rounded and clamped only at decode time.
 """
 
+import math
+import numbers
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -40,6 +43,16 @@ class CapacityError(ValueError):
     """Raised when a genome already has the maximum number of layers."""
 
 
+def check_int_fields(instance):
+    """TypeError unless every field of a dataclass instance annotated
+    int holds an integer (a bool does not count)."""
+    for f in fields(instance):
+        value = getattr(instance, f.name)
+        if f.type is int and (isinstance(value, bool)
+                              or not isinstance(value, numbers.Integral)):
+            raise TypeError(f"{f.name} must be an integer, got {value!r}")
+
+
 def round_half_away(x):
     """Round to nearest integer, ties away from zero (np.round would
     banker's-round 2.5 to 2)."""
@@ -57,6 +70,7 @@ class SearchSpace:
     solver_count: int = 10
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.neuron_min < 1:
             raise ValueError("neuron_min must be >= 1")
         if self.neuron_min > self.neuron_max:
@@ -101,8 +115,12 @@ class HyperparamVector:
         return cls(*(d[name] for name in HYPER_FIELDS))
 
     def values(self):
-        # not dataclasses.astuple: its deep copy makes decode ~1.5x slower
-        return tuple(getattr(self, f.name) for f in fields(self))
+        return _hyper_values(self)
+
+
+# not dataclasses.astuple, whose deep copy makes decode ~1.5x slower
+_hyper_values = operator.attrgetter(
+    *(f.name for f in fields(HyperparamVector)))
 
 
 @dataclass(frozen=True)
@@ -174,20 +192,35 @@ def selective_exclusion(solver_id, hyper):
     The remaining genes stay in the genome (the optimizer keeps moving
     them) but never reach training.
     """
-    consumed = solvers.consumed_parameters(solver_id)
-    full = hyper.as_dict()
-    full.pop("solver")
-    return {name: full[name] for name in sorted(consumed)}
+    if solver_id not in _CONSUMED_AT:
+        solvers.consumed_parameters(solver_id)  # raises for an unknown id
+    values = hyper.values()
+    return {name: values[i] for name, i in _CONSUMED_AT[solver_id]}
+
+
+# per solver id: its consumed hyperparameters, sorted by name, with
+# their positions in HYPER_FIELDS
+_CONSUMED_AT = {sid: tuple((name, HYPER_FIELDS.index(name))
+                           for name in sorted(consumed))
+                for sid, consumed in solvers.CONSUMED.items()}
+
+
+def _round_into(gene, lo, hi):
+    """round_half_away(gene) clipped to the integers lo..hi, for lo >= 1.
+
+    Clipping before rounding gives the same integer, since lo and hi are
+    integers, and leaves a positive value, which rounds half away from
+    zero as floor(value + 0.5)."""
+    return math.floor(min(max(gene, lo), hi) + 0.5)
 
 
 def decode(genome, space):
     """Realize a genome as a NetworkSpec (pure, total on valid genomes)."""
-    solver_id = int(np.clip(round_half_away(genome.hyper.solver_gene),
-                            1, space.solver_count))
-    sizes = round_half_away(np.array(genome.neurons))
-    sizes = np.clip(sizes, space.neuron_min, space.neuron_max)
+    solver_id = _round_into(genome.hyper.solver_gene, 1, space.solver_count)
     return NetworkSpec(
-        hidden_layer_sizes=tuple(int(s) for s in sizes),
+        hidden_layer_sizes=tuple(
+            _round_into(gene, space.neuron_min, space.neuron_max)
+            for gene in genome.neurons),
         solver_id=solver_id,
         active_params=selective_exclusion(solver_id, genome.hyper),
     )

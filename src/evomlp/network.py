@@ -25,8 +25,11 @@ call therefore need batches of one length B. A batch is never padded to
 make lengths agree: a padding row, even with zero weight, changes the
 inner dimension of the weight-gradient matmul and with it how BLAS
 accumulates, so the gradient bits would change. `init_stack` writes the
-initial weights of each row into the stack's buffer directly.
+initial weights of each row into the stack's buffer directly, and
+`predict` scores every net of a stack in one call.
 """
+
+import math
 
 import numpy as np
 
@@ -154,20 +157,28 @@ def _layout(sizes):
 
 
 def init_stack(hidden_layer_sizes, input_dim, seeds, n_outputs=N_OUTPUTS):
-    """A stack of len(seeds) nets, row i initialised from seeds[i]:
-    weights uniform in +-sqrt(6/fan_in), each layer's draw written into
-    the stack's buffer with no net built per row, biases zero."""
+    """A stack of len(seeds) nets, row i initialised from seeds[i] (a
+    seed or a Generator): weights uniform in +-sqrt(6/fan_in), layer by
+    layer from one stream per row, biases zero.
+
+    Each row draws its uniforms u straight into its weights, and each
+    layer then maps the draws of every row at once with rng.uniform's
+    own arithmetic, low + (high - low) * u, so the weights are the bits
+    of one rng.uniform call per layer and row."""
     if input_dim < 1:
         raise ValueError("input_dim must be >= 1")
     sizes = [int(input_dim)] + [int(s) for s in hidden_layer_sizes] \
         + [int(n_outputs)]
     layout = _layout(sizes)
     stack = MaskedMLP._over(layout, np.zeros((len(seeds), layout[-1][1])))
-    limits = [np.sqrt(6.0 / fan_in) for fan_in in sizes[:-1]]
     for row, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        for w, limit in zip(stack.weights, limits):
-            w[row] = rng.uniform(-limit, limit, size=w.shape[1:])
+        for w in stack.weights:
+            rng.random(out=w[row])
+    for w, fan_in in zip(stack.weights, sizes):
+        limit = math.sqrt(6.0 / fan_in)
+        w *= limit - -limit
+        w += -limit
     return stack
 
 
@@ -216,16 +227,17 @@ def forward_batch(net, X, M=None):
     """Class-score rows (softmax-normalized) for a batch.
 
     M=None means a dense evaluation; an all-ones mask gives the
-    bit-identical result.
+    bit-identical result. For a stack of k nets X is (k, n, p), net i
+    scores batch i, and each net gets the bits it would get alone.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     a = X if M is None else mask_input(X, np.atleast_2d(M))
-    if a.shape[1] != net.input_dim:
+    if a.shape[-1] != net.input_dim:
         raise ValueError(
-            f"input dim {a.shape[1]} does not match network {net.input_dim}")
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+            f"input dim {a.shape[-1]} does not match network {net.input_dim}")
+    for w, b in zip(net.weights[:-1], net._batch_biases[:-1]):
         a = np.maximum(a @ w + b, 0.0)
-    return _softmax(a @ net.weights[-1] + net.biases[-1])
+    return _softmax(a @ net.weights[-1] + net._batch_biases[-1])
 
 
 def forward(net, x, m=None):
@@ -234,7 +246,8 @@ def forward(net, x, m=None):
 
 
 def predict(net, X, M=None):
-    return np.argmax(forward_batch(net, X, M), axis=1)
+    """Predicted labels of the rows of X (per net for a stack)."""
+    return np.argmax(forward_batch(net, X, M), axis=-1)
 
 
 def loss_and_gradients(net, X, M, y, out=None, targets=None,

@@ -5,18 +5,25 @@ Training minimizes cross-entropy (the search objective itself, percent
 error, is not differentiable); scoring uses percent error so fitness lives
 in [0, 100] with accuracy = 100 - error on the same predictions.
 
-The fold split, with each fold's min-max scaling and masking, its one-hot
-training targets and its groups of folds by training-set size, is the
-same for every genome of a run, so `split_folds` makes it once and
-`evaluate` takes it in place of the dataset. Within one evaluation the
-folds train as stacks of nets (see network): folds with training sets of
-one size share a stack, so every mini-batch has one length across the
-stack and nothing is padded, and every fold gets the bits it would get
-alone. `stratified_folds` deals rows round-robin, so training sets take
-at most two sizes and an evaluation at most two stacks. A stack holds at
-most STACK_PARAMS parameters, since its memory grows with k. Training
-gathers each epoch's rows once, takes every mini-batch as a view of that
-gather, and never asks for the loss.
+What an evaluation needs that does not depend on the genome is made
+once per dataset by `split_folds`, as a FoldSplit: the folds, each
+fold's min-max scaling and masking, its one-hot training targets, the
+groups of folds by training-set size, each fold's batch order for every
+epoch, each fold's seeded initial-weight generator and the test sets
+stacked by group. `driver.run_benchmark` makes one split per missing
+rate before any grid cell runs, and `evaluate` takes it in place of the
+dataset. The batch orders take epochs x folds x training rows x 8
+bytes, 5.4 MB at the default EvalConfig on a 1 500-row dataset.
+
+Within one evaluation the folds train as stacks of nets (see network):
+folds with training sets of one size share a stack, so every mini-batch
+has one length across the stack and nothing is padded, and every fold
+gets the bits it would get alone. `stratified_folds` deals rows
+round-robin, so training sets take at most two sizes and an evaluation
+at most two stacks. A stack holds at most STACK_PARAMS parameters, since
+its memory grows with k. Training gathers each epoch's rows once, takes
+every mini-batch as a view of that gather, and never asks for the loss.
+Each stack is scored with one `predict` call and one confusion count.
 """
 
 from dataclasses import dataclass
@@ -25,7 +32,7 @@ import numpy as np
 
 from . import network
 from .data import LabeledDataset, MaskedDataset, as_masked
-from .genome import SearchSpace, decode
+from .genome import SearchSpace, check_int_fields, decode
 from .seeding import derive_seed
 from .solvers import NumericFaultError, SolverSpec, make_solver
 
@@ -38,6 +45,7 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
         if self.epochs < 1:
@@ -151,26 +159,54 @@ class FoldSplit:
     Fold i trains on the rows of X_train[i, :n_train[i]] (min-max scaled
     on its own training rows, then multiplied by their mask, as the
     network's first layer would) with labels y_train[i, :n_train[i]],
-    whose one-hot rows are targets[i, :n_train[i]], and is scored on
-    test[i] = (X_test, y_test), scaled and masked the same way. Rows past
-    n_train[i] are never read. groups lists the folds (as Python ints,
-    which the seeds are derived from) by training-set size, smallest
-    size first. The split depends only on the dataset, cfg.folds and
-    cfg.seed, so a run makes it once and scores every genome on it.
+    whose one-hot rows are targets[i, :n_train[i]]. Rows past n_train[i]
+    are never read. groups lists the folds (as Python ints, which the
+    seeds are derived from) by training-set size, smallest size first,
+    and place[i] = (g, r) says that fold i is the r-th fold of group g.
+    For each group, in the order of groups:
+
+    - batch_rows[g] is an (epochs, folds of g, n) array: row r of epoch
+      e lists fold groups[g][r]'s training rows in that epoch's batch
+      order, as rows of X_train.reshape(-1, p) (and of targets reshaped
+      alike), the orders drawn from the fold's own seeded Generator;
+    - test[g] = (X_test, y_test) holds the group's test sets stacked,
+      (folds of g, n_test, p) and (folds of g, n_test), scaled and masked
+      like the training rows; folds with training sets of one size have
+      test sets of one size.
+
+    init_rngs[i] = (Generator, state) is fold i's Generator for initial
+    weights and its freshly seeded state; init_rng(i) resets and returns
+    it. missing_rate is the fraction of the dataset's entries masked.
+
+    The split depends only on the dataset and on cfg.folds, cfg.epochs
+    and cfg.seed, so a run makes it once and scores every genome on it.
+    The batch orders take epochs x folds x n_train x 8 bytes: 5.4 MB at
+    the default EvalConfig (10 folds, 50 epochs) on 1 500 rows.
     """
 
     folds: int
+    epochs: int
     seed: int
+    missing_rate: float
     X_train: np.ndarray
     y_train: np.ndarray
     targets: np.ndarray
     n_train: np.ndarray
     groups: tuple
+    place: tuple
+    batch_rows: tuple
     test: tuple
+    init_rngs: tuple
 
     @property
     def p(self):
         return self.X_train.shape[-1]
+
+    def init_rng(self, fold_i):
+        """Fold fold_i's initial-weight Generator, reset to its seed."""
+        rng, state = self.init_rngs[fold_i]
+        rng.bit_generator.state = state
+        return rng
 
 
 def split_folds(ds, cfg):
@@ -181,13 +217,16 @@ def split_folds(ds, cfg):
         raise TypeError("expected a LabeledDataset or MaskedDataset")
     if ds.n < cfg.folds:
         raise ValueError(f"{ds.n} rows cannot fill {cfg.folds} folds")
+    if ds.y.min() < 0 or ds.y.max() >= network.N_OUTPUTS:
+        raise ValueError(f"labels must lie in [0, {network.N_OUTPUTS})")
     folds = stratified_folds(ds.y, cfg.folds,
                              np.random.default_rng(
                                  derive_seed(cfg.seed, "folds")))
     n_train = ds.n - np.array([f.size for f in folds])
-    X_train = np.zeros((cfg.folds, n_train.max(), ds.p))
-    y_train = np.zeros((cfg.folds, n_train.max()), dtype=ds.y.dtype)
-    test = []
+    n_max = n_train.max()
+    X_train = np.zeros((cfg.folds, n_max, ds.p))
+    y_train = np.zeros((cfg.folds, n_max), dtype=ds.y.dtype)
+    fold_tests = []
     for fold_i, test_idx in enumerate(folds):
         train_idx = np.setdiff1d(np.arange(ds.n), test_idx)
         M_train, M_test = ds.M[train_idx], ds.M[test_idx]
@@ -195,14 +234,38 @@ def split_folds(ds, cfg):
         X_train[fold_i, :train_idx.size] = network.mask_input(
             _apply_minmax(ds.X[train_idx], M_train, mn, mx), M_train)
         y_train[fold_i, :train_idx.size] = ds.y[train_idx]
-        test.append((network.mask_input(
+        fold_tests.append((network.mask_input(
             _apply_minmax(ds.X[test_idx], M_test, mn, mx), M_test),
             ds.y[test_idx]))
     groups = tuple(np.flatnonzero(n_train == size).tolist()
                    for size in np.unique(n_train))
-    return FoldSplit(folds=cfg.folds, seed=cfg.seed, X_train=X_train,
-                     y_train=y_train, targets=network.one_hot(y_train),
-                     n_train=n_train, groups=groups, test=tuple(test))
+    place = [None] * cfg.folds
+    batch_rows = []
+    for g, group in enumerate(groups):
+        rows = np.empty((cfg.epochs, len(group), n_train[group[0]]),
+                        dtype=np.intp)
+        for r, fold_i in enumerate(group):
+            place[fold_i] = (g, r)
+            rng = np.random.default_rng(
+                derive_seed(cfg.seed, "batches", fold_i))
+            for epoch in range(cfg.epochs):
+                rows[epoch, r] = rng.permutation(rows.shape[-1])
+            rows[:, r] += fold_i * n_max
+        batch_rows.append(rows)
+    init_rngs = []
+    for fold_i in range(cfg.folds):
+        rng = np.random.default_rng(derive_seed(cfg.seed, "init", fold_i))
+        init_rngs.append((rng, rng.bit_generator.state))
+    return FoldSplit(
+        folds=cfg.folds, epochs=cfg.epochs, seed=cfg.seed,
+        missing_rate=round(1.0 - float(np.mean(ds.M)), 6),
+        X_train=X_train, y_train=y_train, targets=network.one_hot(y_train),
+        n_train=n_train, groups=groups, place=tuple(place),
+        batch_rows=tuple(batch_rows),
+        test=tuple((np.stack([fold_tests[f][0] for f in group]),
+                    np.stack([fold_tests[f][1] for f in group]))
+                   for group in groups),
+        init_rngs=tuple(init_rngs))
 
 
 def evaluate(genome, ds, cfg, space=None):
@@ -213,27 +276,25 @@ def evaluate(genome, ds, cfg, space=None):
     percent error) the optimizers minimize.
     """
     split = ds if isinstance(ds, FoldSplit) else split_folds(ds, cfg)
-    if (split.folds, split.seed) != (cfg.folds, cfg.seed):
+    made = (split.folds, split.epochs, split.seed)
+    if made != (cfg.folds, cfg.epochs, cfg.seed):
         raise ValueError(
-            f"split made for {split.folds} folds with seed {split.seed}, "
-            f"config asks for {cfg.folds} folds with seed {cfg.seed}")
+            f"split made for (folds, epochs, seed) = {made}, config asks "
+            f"for {(cfg.folds, cfg.epochs, cfg.seed)}")
     spec = decode(genome, space or SearchSpace())
     per_fold = [None] * cfg.folds
-    for fold_i, net in _trained_folds(spec, split, cfg):
-        if net is None:
-            # diverged numerically: worst possible score, not an error,
-            # so the surrounding search stays total
-            per_fold[fold_i] = {"error": 100.0, "accuracy": 0.0,
-                                "f_measure": 0.0}
-        else:
-            X_test, y_test = split.test[fold_i]
-            pred = network.predict(net, X_test)
-            err = classification_error(pred, y_test)
-            per_fold[fold_i] = {
-                "error": err,
-                "accuracy": 100.0 - err,
-                "f_measure": f_measure(pred, y_test),
-            }
+    for folds, stack, trained in _trained_stacks(spec, split, cfg):
+        g, r = split.place[folds[0]]
+        X_test, y_test = (a[r:r + len(folds)] for a in split.test[g])
+        # a diverged row's weights may be non-finite; its scores are not
+        # read, and zeros keep its predictions quiet
+        stack.flat[~trained] = 0.0
+        scores = _stack_scores(network.predict(stack, X_test), y_test)
+        for row, fold_i in enumerate(folds):
+            # a diverged fold scores worst, not an error, so the
+            # surrounding search stays total
+            per_fold[fold_i] = scores[row] if trained[row] else {
+                "error": 100.0, "accuracy": 0.0, "f_measure": 0.0}
 
     fitness = float(np.mean([f["error"] for f in per_fold]))
     return EvalResult(
@@ -244,19 +305,52 @@ def evaluate(genome, ds, cfg, space=None):
     )
 
 
-def _trained_folds(spec, split, cfg):
-    """Yields (fold index, trained net) for every fold, stack by stack;
-    the net is None for a fold whose training diverged."""
+def _stack_scores(pred, truth):
+    """Per-row score dicts of (k, n) predicted against (k, n) true labels
+    in [0, N_OUTPUTS), from one confusion count for all rows; each is
+    what classification_error and f_measure give for its row."""
+    k, n = truth.shape
+    m = network.N_OUTPUTS
+    codes = pred * m
+    codes += truth
+    codes += np.arange(0, k * m * m, m * m)[:, np.newaxis]
+    counts = np.bincount(codes.ravel(), minlength=k * m * m).tolist()
+    return [_fold_scores(counts[i * m * m:(i + 1) * m * m], m, n)
+            for i in range(k)]
+
+
+def _fold_scores(pairs, m, n):
+    """Error, accuracy and F-measure of one fold's n predictions, where
+    pairs[c * m + d] counts the rows predicted c and truly d.
+
+    The F-measure is f_measure's arithmetic on the same integers; its
+    mean is a left-to-right sum, as np.mean sums fewer than 8 values."""
+    hits = sum(pairs[c * m + c] for c in range(m))
+    err = 100.0 * (n - hits) / n
+    scores = []
+    for c in range(m):
+        tp = pairs[c * m + c]
+        predicted, actual = sum(pairs[c * m:(c + 1) * m]), sum(pairs[c::m])
+        if predicted or actual:  # the class occurs on either side
+            precision = tp / predicted if predicted else 0.0
+            recall = tp / actual if actual else 0.0
+            scores.append(2 * precision * recall / (precision + recall)
+                          if precision + recall else 0.0)
+    return {"error": err, "accuracy": 100.0 - err,
+            "f_measure": 100.0 * (sum(scores) / len(scores))}
+
+
+def _trained_stacks(spec, split, cfg):
+    """Yields (folds, stack, trained) for every stack of folds: the
+    folds in stack-row order, the stack after training, and which rows
+    trained without blowing up."""
     solver_spec = SolverSpec(spec.solver_id, spec.active_params)
     sizes = (split.p, *spec.hidden_layer_sizes, network.N_OUTPUTS)
     n_params = sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
     for folds in _stacks(split, n_params):
-        stack = network.init_stack(
-            spec.hidden_layer_sizes, split.p,
-            [derive_seed(cfg.seed, "init", fold_i) for fold_i in folds])
-        trained = _train(stack, solver_spec, split, folds, cfg)
-        for row, fold_i in enumerate(folds):
-            yield fold_i, stack.row(row) if trained[row] else None
+        stack = network.init_stack(spec.hidden_layer_sizes, split.p,
+                                   [split.init_rng(f) for f in folds])
+        yield folds, stack, _train(stack, solver_spec, split, folds, cfg)
 
 
 def _stacks(split, n_params):
@@ -274,45 +368,45 @@ def _train(stack, solver_spec, split, folds, cfg):
 
     The folds of a stack have training sets of one size, so each
     mini-batch is one gradient call on the whole stack and one solver
-    step, with every row drawing its own batch order. Each epoch gathers
-    the rows and targets in that order once, and every batch is a view
-    of that gather; the loss is never computed. A row whose gradient
-    goes non-finite is dead from then on: its parameter row is zeroed,
-    and so is its gradient row after every gradient call, so the solver
-    steps the other rows to the bits they would get alone (every solver
-    rule is elementwise). The solver and the gradient buffer live only
-    for the call, so one stack's training state is freed before the next
-    stack's is made."""
-    n = split.n_train[folds[0]]
-    rngs = [np.random.default_rng(derive_seed(cfg.seed, "batches", fold_i))
-            for fold_i in folds]
+    step, every row in its own fold's batch order. Each epoch gathers
+    the rows and targets in those orders with one take each, and every
+    batch is a view of that gather; the loss is never computed. A row
+    whose gradient goes non-finite is dead from then on: its parameter
+    row is zeroed, and so is its gradient row after every gradient call,
+    so the solver steps the other rows to the bits they would get alone
+    (every solver rule is elementwise). The solver and the gradient
+    buffer live only for the call, so one stack's training state is
+    freed before the next stack's is made."""
+    g, r = split.place[folds[0]]
+    epoch_rows = split.batch_rows[g][:, r:r + len(folds)]
+    n = epoch_rows.shape[-1]
+    batches = [slice(start, start + cfg.batch_size)
+               for start in range(0, n, cfg.batch_size)]
+    X_rows = split.X_train.reshape(-1, split.p)
+    target_rows = split.targets.reshape(-1, split.targets.shape[-1])
     solver = make_solver(solver_spec, [stack.flat.shape])
     params, grads = [stack.flat], [np.empty_like(stack.flat)]
-    fold_col = np.array(folds)[:, np.newaxis]
-    order = np.empty((len(folds), n), dtype=np.intp)
+    grad = grads[0]
     dead = None  # rows whose gradient went non-finite, once one has
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(cfg.epochs):
-            for row, rng in enumerate(rngs):
-                order[row] = rng.permutation(n)
-            X, targets = (split.X_train[fold_col, order],
-                          split.targets[fold_col, order])
-            for start in range(0, n, cfg.batch_size):
-                batch = slice(start, start + cfg.batch_size)
+        for rows in epoch_rows:
+            X = X_rows.take(rows, axis=0)
+            targets = target_rows.take(rows, axis=0)
+            for batch in batches:
                 network.loss_and_gradients(
-                    stack, X[:, batch], None, None, out=grads[0],
+                    stack, X[:, batch], None, None, out=grad,
                     targets=targets[:, batch], with_loss=False)
                 if dead is not None:
-                    grads[0][dead] = 0.0
+                    grad[dead] = 0.0
                 try:
                     solver.step(params, grads)
                 except NumericFaultError:
                     # step raised before changing any state
-                    fault = ~np.all(np.isfinite(grads[0]), axis=1)
+                    fault = ~np.all(np.isfinite(grad), axis=1)
                     dead = fault if dead is None else dead | fault
                     if dead.all():
                         return ~dead
-                    grads[0][dead] = 0.0
+                    grad[dead] = 0.0
                     stack.flat[dead] = 0.0
                     solver.step(params, grads)
     alive = np.all(np.isfinite(stack.flat), axis=1)

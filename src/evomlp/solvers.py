@@ -11,13 +11,15 @@ one step is one finiteness check and one pass of the rule over every
 parameter. States hold per-tensor slot arrays (moments, accumulators,
 per-weight steps) shaped like the trained parameters, plus SCRATCH work
 arrays per tensor: every update is written with in-place ufuncs into
-those, so the rule allocates no parameter-sized temporary and a step
-never writes into the gradients it is given. Each in-place form keeps
+those, so the rule allocates no parameter-sized temporary (Rprop's
+indexed updates allocate at most a chunk) and a step never writes into
+the gradients it is given. Each in-place form keeps
 the order of every floating-point operation of the rule's expression (up
 to swapping the operands of a product or a sum), so it gives the same
 bits.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,8 +94,13 @@ def make_solver(spec, param_shapes):
 
 
 def _check_grads(grads):
+    """Raise NumericFaultError unless every gradient entry is finite.
+
+    A finite sum proves every entry finite, so the entries themselves
+    are checked only when a sum is not (it may just have overflowed)."""
     for i, g in enumerate(grads):
-        if not np.isfinite(g).all():
+        if (not math.isfinite(np.add.reduce(g, axis=None))
+                and not np.isfinite(g).all()):
             raise NumericFaultError(f"non-finite gradient for tensor {i}")
 
 
@@ -331,34 +338,46 @@ class RMSprop(_SolverState):
 
 class Rprop(_SolverState):
     """Sign-based updates with per-weight step sizes; the learning-rate
-    gene sets the initial step."""
+    gene sets the initial step.
+
+    Where prev * g > 0 the step grows by ETA_PLUS up to STEP_MAX; where
+    it is < 0 the step shrinks by ETA_MINUS down to STEP_MIN, and the
+    weight's update is skipped and its gradient forgotten. Only those
+    weights change their step, and they are often few (a dead unit
+    leaves its gradients zero), so a step finds them by index, CHUNK
+    weights at a time, and updates only them: no masked ufunc, and no
+    temporary longer than a chunk."""
 
     ETA_PLUS = 1.2
     ETA_MINUS = 0.5
     STEP_MIN = 1e-6
     STEP_MAX = 50.0
+    CHUNK = 1 << 16
     SCRATCH = 1
 
     def __init__(self, params, shapes):
         super().__init__(params, shapes)
         self.step_size = [np.full(s, params["learning_rate"]) for s in shapes]
         self.prev_grad = _zeros(shapes)
-        self.masks = [(np.empty(s, dtype=bool), np.empty(s, dtype=bool))
-                      for s in shapes]
 
     def _apply(self, i, w, g, s1):
         step, prev = self.step_size[i], self.prev_grad[i]
-        grew, shrank = self.masks[i]
         np.multiply(prev, g, out=s1)
-        np.greater(s1, 0, out=grew)
-        np.less(s1, 0, out=shrank)
-        np.multiply(step, self.ETA_PLUS, out=step, where=grew)
-        np.minimum(step, self.STEP_MAX, out=step, where=grew)
-        np.multiply(step, self.ETA_MINUS, out=step, where=shrank)
-        np.maximum(step, self.STEP_MIN, out=step, where=shrank)
-        # a sign flip skips the weight's update and forgets its gradient
         np.copyto(prev, g)
-        np.copyto(prev, 0.0, where=shrank)
+        # views of the state and scratch arrays, which are contiguous
+        steps, prevs, products = (a.reshape(-1) for a in (step, prev, s1))
+        for start in range(0, products.size, self.CHUNK):
+            chunk = products[start:start + self.CHUNK]
+            changed = np.flatnonzero(chunk)
+            if changed.size:
+                product = chunk[changed]
+                changed += start
+                grew, shrank = changed[product > 0], changed[product < 0]
+                steps[grew] = np.minimum(steps[grew] * self.ETA_PLUS,
+                                         self.STEP_MAX)
+                steps[shrank] = np.maximum(steps[shrank] * self.ETA_MINUS,
+                                           self.STEP_MIN)
+                prevs[shrank] = 0.0
         np.sign(prev, out=s1)
         s1 *= step
         w -= s1

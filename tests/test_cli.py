@@ -186,11 +186,35 @@ def test_max_layers_beyond_space_exits_2(tmp_path, capsys):
     {"dataset": {"type": "csv"}},
     {"dataset": {"type": "synthetic", "n": 60, "p": 4, "classes": 3,
                  "mask": "mask.csv"}},
+    {"eval": {"folds": 2, "epochs": 2.5, "batch_size": 16, "seed": 0}},
+    {"eval": {"folds": 2.0, "epochs": 2, "batch_size": 16, "seed": 0}},
+    {"eval": {"folds": 2, "epochs": 2, "batch_size": 16.0, "seed": 0}},
+    {"eval": {"folds": 2, "epochs": 2, "batch_size": 16, "seed": 0.5}},
+    {"stage_budget": 8.0},
+    {"population_size": 4.0},
+    {"repeats": True},
+    {"master_seed": 7.5},
+    {"max_layers": 2.0},
+    {"space": {"neuron_min": 1, "neuron_max": 8.5, "max_layers": 2}},
+    {"space": {"neuron_min": 1, "neuron_max": 8, "max_layers": 2,
+               "solver_count": 3.0}},
+    {"algorithms": []},
+    {"missing_rates": []},
+    {"algorithms": ["DE", "de"]},
+    {"algorithms": ["CMA-ES", "PSO", "cmaes"]},
+    {"missing_rates": [0.0, 0.0]},
+    {"missing_rates": [0.4, 0, 0.4]},
 ], ids=["population-3", "budget-below-population", "neuron-min-above-max",
         "fewer-rows-than-folds", "folds-string", "batch-size-0",
         "repeats-string", "missing-rates-scalar", "missing-rates-string",
         "missing-rates-bool", "classes-beyond-labels", "n-string",
-        "classes-float", "csv-without-path", "mask-key"])
+        "classes-float", "csv-without-path", "mask-key", "epochs-float",
+        "folds-float", "batch-size-float", "eval-seed-float",
+        "stage-budget-float", "population-float", "repeats-bool",
+        "master-seed-float", "max-layers-float", "neuron-max-float",
+        "solver-count-float", "algorithms-empty", "missing-rates-empty",
+        "algorithms-duplicate", "algorithms-duplicate-spelling",
+        "missing-rates-duplicate", "missing-rates-duplicate-int"])
 def test_bad_config_exits_2_before_work(tmp_path, capsys, overrides):
     cfg = tiny_config(tmp_path, **overrides)
     out = tmp_path / "b"

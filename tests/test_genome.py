@@ -3,8 +3,8 @@ import pytest
 
 from evomlp import solvers
 from evomlp.genome import (CapacityError, Genome, HYPER_BOUNDS, HYPER_FIELDS,
-                           SearchSpace, decode, grow, mid_range_hyper,
-                           random_genome, round_half_away,
+                           HyperparamVector, SearchSpace, decode, grow,
+                           mid_range_hyper, random_genome, round_half_away,
                            selective_exclusion)
 
 
@@ -83,6 +83,28 @@ def test_decode_never_escapes_bounds(space):
                       space)
         assert space.neuron_min <= spec.hidden_layer_sizes[0] \
             <= space.neuron_max
+
+
+def test_decode_equals_rounding_then_clipping_arrays():
+    # decode's rule as array code: round half away from zero, then clip
+    rng = np.random.default_rng(8)
+    ties = [0.5, 1.5, 2.5, 3.5, 9.5, 10.5, 39.5, 40.5, 41.5]
+    for space in (SearchSpace(), SearchSpace(neuron_min=3, neuron_max=40,
+                                             max_layers=4, solver_count=7)):
+        for _ in range(300):
+            genes = rng.uniform(-5.0, 50.0, size=6)
+            genes[rng.random(6) < 0.3] = rng.choice(ties)
+            genes[rng.random(6) < 0.1] = rng.choice([-np.inf, np.inf])
+            genome = Genome(hyper=HyperparamVector(
+                0.1, 0.0, 0.5, 0.9, 0.9, 0.5, 0.5, float(genes[0])),
+                neurons=tuple(float(g) for g in genes[1:]))
+            spec = decode(genome, space)
+            assert spec.solver_id == int(np.clip(round_half_away(genes[0]),
+                                                 1, space.solver_count))
+            assert spec.hidden_layer_sizes == tuple(
+                int(s) for s in np.clip(round_half_away(genes[1:]),
+                                        space.neuron_min, space.neuron_max))
+            assert all(type(s) is int for s in spec.hidden_layer_sizes)
 
 
 def test_selective_exclusion_adam():

@@ -7,7 +7,7 @@ two configs against digests kept in golden_digests.json:
 - "small": two algorithms on 10 folds of 403 rows, so the folds' training
   sets have two sizes, every epoch ends on a short batch, and, with
   STACK_PARAMS lowered for the test, a group of folds trains as several
-  stacks;
+  stacks; run once in-process and once with two worker processes;
 - "desk": the acceptance tests' desk run (the `desk_run` fixture), on
   small nets whose folds all share one stack;
 - "pbmh": the traces and incumbents of `minimize` for all 13 optimizers
@@ -88,7 +88,7 @@ def _assert_golden(name, digest):
                 f"{GOLDEN['digests'][name]}{environment}")
 
 
-def test_small_config_matches_golden(tmp_path, monkeypatch):
+def _small_config_digest(tmp_path, monkeypatch, jobs):
     monkeypatch.setattr(objective, "STACK_PARAMS", SMALL_STACK_PARAMS)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(SMALL_CONFIG))
@@ -102,8 +102,18 @@ def test_small_config_matches_golden(tmp_path, monkeypatch):
 
     out = tmp_path / "bench"
     assert main(["benchmark", "--config", str(config), "--out", str(out),
-                 "--deterministic", "--quiet"]) == 0
-    _assert_golden("small", _file_digest(out / "results.jsonl"))
+                 "--deterministic", "--quiet", "--jobs", str(jobs)]) == 0
+    return _file_digest(out / "results.jsonl")
+
+
+def test_small_config_matches_golden(tmp_path, monkeypatch):
+    _assert_golden("small", _small_config_digest(tmp_path, monkeypatch, 1))
+
+
+def test_small_config_matches_golden_with_two_jobs(tmp_path, monkeypatch):
+    # each rate's split is made once and pickled to the worker processes,
+    # which fork with the lowered STACK_PARAMS
+    _assert_golden("small", _small_config_digest(tmp_path, monkeypatch, 2))
 
 
 def test_desk_run_matches_golden(desk_run):

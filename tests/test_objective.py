@@ -5,7 +5,8 @@ from evomlp import objective
 from evomlp.data import as_masked, inject_missing, synthesize
 from evomlp.genome import (Genome, HyperparamVector, NetworkSpec,
                            selective_exclusion)
-from evomlp.network import init_network, loss_and_gradients
+from evomlp.network import (forward_batch, init_network, loss_and_gradients,
+                            predict)
 from evomlp.objective import (EvalConfig, classification_error, evaluate,
                               f_measure, split_folds, stratified_folds)
 from evomlp.seeding import derive_seed
@@ -159,6 +160,15 @@ def test_evaluate_rejects_too_few_rows(blob_data):
         evaluate(sane_genome(), as_masked(tiny), EvalConfig(folds=5))
 
 
+@pytest.mark.parametrize("label", [-1, 3])
+def test_split_rejects_labels_outside_the_classes(blob_data, label):
+    bad = as_masked(blob_data)
+    bad.y = bad.y.copy()
+    bad.y[7] = label
+    with pytest.raises(ValueError, match="labels"):
+        split_folds(bad, _fast_cfg())
+
+
 def _softmax_regression_error(ds, folds, seed):
     """Independent oracle: plain softmax regression on the same folds."""
     rng = np.random.default_rng(seed)
@@ -228,6 +238,19 @@ def test_evaluate_on_split_equals_evaluate_on_dataset(blob_data):
                   _fast_cfg(seed=1)):
         with pytest.raises(ValueError):
             evaluate(sane_genome(), split, other)
+    # the split holds no batch size: any one trains on it
+    other_batch = EvalConfig(folds=3, epochs=10, batch_size=7, seed=0)
+    assert evaluate(sane_genome(), split, other_batch) \
+        == evaluate(sane_genome(), mds, other_batch)
+
+
+def test_evaluate_rejects_split_of_other_epochs(blob_data):
+    split = split_folds(blob_data, _fast_cfg())
+    for epochs in (9, 11):
+        with pytest.raises(ValueError, match="epochs"):
+            evaluate(sane_genome(), split,
+                     EvalConfig(folds=3, epochs=epochs, batch_size=16,
+                                seed=0))
 
 
 def _spec(solver_id, hidden=(6, 4)):
@@ -263,7 +286,10 @@ def _train_alone(spec, X, y, fold_i, cfg):
 def _assert_stacking_changes_nothing(spec, split, cfg):
     """Every fold's weights after stacked training equal, bit for bit,
     those of the fold trained alone; returns the stacked nets by fold."""
-    trained = dict(objective._trained_folds(spec, split, cfg))
+    trained = {}
+    for folds, stack, alive in objective._trained_stacks(spec, split, cfg):
+        for row, fold_i in enumerate(folds):
+            trained[fold_i] = stack.row(row) if alive[row] else None
     assert sorted(trained) == list(range(cfg.folds))
     for fold_i, net in trained.items():
         n = split.n_train[fold_i]
@@ -346,3 +372,62 @@ def test_diverged_fold_leaves_the_others_alone(case, solver_id):
     assert scores[1] == {"error": 100.0, "accuracy": 0.0, "f_measure": 0.0}
     assert all(score["error"] < 100.0 for i, score in enumerate(scores)
                if i != 1)
+
+
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_split_batch_orders_are_the_per_fold_permutations(case):
+    # what each fold drew for itself, epoch by epoch, before the split
+    # held the orders
+    split, cfg = _stack_case(case, epochs=4)
+    n_max = split.X_train.shape[1]
+    for g, group in enumerate(split.groups):
+        rows = split.batch_rows[g]
+        assert rows.shape == (cfg.epochs, len(group),
+                              split.n_train[group[0]])
+        for r, fold_i in enumerate(group):
+            assert split.place[fold_i] == (g, r)
+            rng = np.random.default_rng(
+                derive_seed(cfg.seed, "batches", fold_i))
+            for epoch in range(cfg.epochs):
+                assert np.array_equal(rows[epoch, r] - fold_i * n_max,
+                                      rng.permutation(rows.shape[-1]))
+
+
+def test_split_init_rngs_restart_from_each_folds_seed():
+    split, cfg = _stack_case("k3-ragged-last-batch")
+    for fold_i in range(cfg.folds):
+        seeded = np.random.default_rng(derive_seed(cfg.seed, "init", fold_i))
+        split.init_rng(fold_i).random(7)  # a used generator is reset
+        assert np.array_equal(split.init_rng(fold_i).random(20),
+                              seeded.random(20))
+
+
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_stacked_predictions_equal_each_rows_predictions(case):
+    split, cfg = _stack_case(case)
+    for folds, stack, alive in objective._trained_stacks(_spec(1), split,
+                                                         cfg):
+        g, r = split.place[folds[0]]
+        X_test = split.test[g][0][r:r + len(folds)]
+        pred, scores = predict(stack, X_test), forward_batch(stack, X_test)
+        assert pred.shape == X_test.shape[:2]
+        for row in range(len(folds)):
+            assert np.array_equal(pred[row],
+                                  predict(stack.row(row), X_test[row]))
+            assert np.array_equal(scores[row],
+                                  forward_batch(stack.row(row), X_test[row]))
+
+
+def test_stack_scores_equal_error_and_f_measure_per_row():
+    rng = np.random.default_rng(12)
+    for _ in range(400):
+        k, n = int(rng.integers(1, 5)), int(rng.integers(1, 25))
+        # labels from random subsets, so classes go missing on either side
+        pred = rng.choice(rng.permutation(3)[:rng.integers(1, 4)], (k, n))
+        truth = rng.choice(rng.permutation(3)[:rng.integers(1, 4)], (k, n))
+        scores = objective._stack_scores(pred, truth)
+        for row in range(k):
+            err = classification_error(pred[row], truth[row])
+            assert scores[row] == {"error": err, "accuracy": 100.0 - err,
+                                   "f_measure": f_measure(pred[row],
+                                                          truth[row])}

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from evomlp.genome import mid_range_hyper, selective_exclusion
-from evomlp.solvers import (NumericFaultError, SOLVER_NAMES, SolverSpec,
-                            consumed_parameters, make_solver)
+from evomlp.solvers import (NumericFaultError, Rprop, SOLVER_NAMES,
+                            SolverSpec, consumed_parameters, make_solver)
 
 
 def _mid_solver(solver_id, shapes):
@@ -146,16 +146,39 @@ def test_non_finite_gradient_names_tensor():
         solver.step(params, bad)
 
 
+def _state_bytes(solver):
+    """Every attribute of a solver but its scratch arrays, with the
+    arrays in its lists as bytes."""
+    return {name: [a.tobytes() if isinstance(a, np.ndarray) else a
+                   for a in value] if isinstance(value, list) else value
+            for name, value in vars(solver).items() if name != "scratch"}
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("solver_id", sorted(SOLVER_NAMES))
 def test_non_finite_gradient_raises_before_any_change(solver_id, bad):
     solver, _ = _mid_solver(solver_id, [(2, 5)])
     w = np.ones((2, 5))
-    g = np.zeros((2, 5))
+    rng = np.random.default_rng(solver_id)
+    solver.step([w], [rng.normal(size=(2, 5))])
+    before, w_before = _state_bytes(solver), w.copy()
+    g = rng.normal(size=(2, 5))
     g[1, 3] = bad
     with pytest.raises(NumericFaultError, match="tensor 0"):
         solver.step([w], [g])
-    assert solver.t == 0 and np.all(w == 1.0)
+    assert _state_bytes(solver) == before
+    assert w.tobytes() == w_before.tobytes()
+
+
+@pytest.mark.parametrize("solver_id", sorted(SOLVER_NAMES))
+def test_finite_gradient_whose_sum_overflows_is_stepped(solver_id):
+    solver, _ = _mid_solver(solver_id, [(4,)])
+    w = np.zeros(4)
+    g = np.array([1.5e308, 1.5e308, -1.0, 1e308])
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(np.sum(g))
+        solver.step([w], [g])
+    assert solver.t == 1
 
 
 def test_beta_one_edge_stays_finite():
@@ -439,3 +462,59 @@ def test_updates_match_scalar_oracle(solver_id):
         np.testing.assert_allclose(w, scalar, rtol=1e-12, atol=1e-14,
                                    err_msg=f"{SOLVER_NAMES[solver_id]} "
                                            f"step {t}")
+
+
+class _MaskedRprop:
+    """Rprop as it was written with where=-masked ufuncs: the reference
+    the table-driven rule must match bit for bit."""
+
+    def __init__(self, shape, lr):
+        self.step_size = np.full(shape, lr)
+        self.prev = np.zeros(shape)
+
+    def step(self, w, g):
+        step, prev = self.step_size, self.prev
+        s1 = prev * g
+        grew, shrank = s1 > 0, s1 < 0
+        np.multiply(step, 1.2, out=step, where=grew)
+        np.minimum(step, 50.0, out=step, where=grew)
+        np.multiply(step, 0.5, out=step, where=shrank)
+        np.maximum(step, 1e-6, out=step, where=shrank)
+        np.copyto(prev, g)
+        np.copyto(prev, 0.0, where=shrank)
+        w -= np.sign(prev) * step
+
+
+@pytest.mark.parametrize("chunk", [None, 96])
+@pytest.mark.parametrize("lr", [0.0, 1e-9, 0.01])
+def test_rprop_matches_masked_reference(lr, chunk, monkeypatch):
+    if chunk:  # several chunks, the last one short
+        monkeypatch.setattr(Rprop, "CHUNK", chunk)
+    rng = np.random.default_rng(int(lr * 1e9) + 3)
+    shape = (2, 400)
+    solver = make_solver(SolverSpec(9, {"learning_rate": lr}), [shape])
+    reference = _MaskedRprop(shape, lr)
+    w = rng.normal(size=shape)
+    w[:, ::13] = -0.0
+    w_ref = w.copy()
+    # columns 0-99 keep one sign after a single flip (steps grow to
+    # STEP_MAX), 100-199 flip every step (steps shrink to STEP_MIN), the
+    # rest draw random signs with zeros, -0.0 and products that underflow
+    steady = np.where(rng.random(100) < 0.5, -1.0, 1.0)
+    for t in range(160):
+        sign = rng.choice([-1.0, 1.0], size=shape)
+        sign[:, :100] = -steady if t == 1 else steady
+        sign[:, 100:200] = 1.0 if t % 2 else -1.0
+        zero = rng.random(shape) < 0.2
+        sign[:, 200:][zero[:, 200:]] = 0.0
+        sign[:, 200:300][zero[:, 200:300]] = -0.0
+        scale = rng.uniform(0.1, 2.0, size=shape)
+        scale[:, 350:] = 1e-170
+        g = sign * scale
+        solver.step([w], [g])
+        reference.step(w_ref, g)
+        assert w.tobytes() == w_ref.tobytes()
+        assert solver.step_size[0].tobytes() == reference.step_size.tobytes()
+        assert solver.prev_grad[0].tobytes() == reference.prev.tobytes()
+    assert np.all(solver.step_size[0][:, :100] == 50.0)
+    assert np.all(solver.step_size[0][:, 100:200] == 1e-6)
