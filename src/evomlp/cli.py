@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -147,20 +147,11 @@ def cmd_inject_missing(args):
     return EXIT_OK
 
 
-def _search_config(args):
+def cmd_search(args):
     if args.config:
         cfg, dataset_spec = load_config(args.config)
     else:
         cfg, dataset_spec = driver.SearchConfig(), None
-    if args.master_seed is not None:
-        cfg = replace(cfg, master_seed=args.master_seed)
-    if args.repeats is not None:
-        cfg = replace(cfg, repeats=args.repeats)
-    return cfg, dataset_spec
-
-
-def cmd_search(args):
-    cfg, dataset_spec = _search_config(args)
     algorithm = canonical_name(args.algorithm)
     if args.data:
         if args.mask:
@@ -186,7 +177,7 @@ def cmd_search(args):
 
 
 def cmd_benchmark(args):
-    cfg, dataset_spec = _search_config(args)
+    cfg, dataset_spec = load_config(args.config)
     ds = load_dataset(dataset_spec,
                       base_dir=os.path.dirname(args.config) or ".")
     os.makedirs(args.out, exist_ok=True)
@@ -333,8 +324,6 @@ def build_parser():
     p.add_argument("--mask")
     p.add_argument("--config")
     p.add_argument("--out", required=True)
-    p.add_argument("--master-seed", type=int, default=None)
-    p.add_argument("--repeats", type=int, default=None)
     p.add_argument("--deterministic", action="store_true")
     p.set_defaults(func=cmd_search)
 
@@ -342,8 +331,6 @@ def build_parser():
                        help="full algorithms x rates x repeats grid")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--master-seed", type=int, default=None)
-    p.add_argument("--repeats", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for grid cells")
     p.add_argument("--deterministic", action="store_true")

@@ -10,7 +10,6 @@ rate so every algorithm faces identical missingness.
 """
 
 import json
-import multiprocessing
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -160,12 +159,13 @@ def layer_growth_search(algorithm, ds, cfg, seed, deterministic=False):
     )
 
 
-def _benchmark_cell(task):
+def _benchmark_cell(splits, cfg, deterministic, rate_i, algorithm, rep,
+                    run_seed):
     """One grid cell; errors become error records so the grid survives."""
-    split, algorithm, rate, rep, cfg, run_seed, deterministic = task
+    rate = cfg.missing_rates[rate_i]
     try:
-        record = layer_growth_search(algorithm, split, cfg, run_seed,
-                                     deterministic=deterministic)
+        record = layer_growth_search(algorithm, splits[rate_i], cfg,
+                                     run_seed, deterministic=deterministic)
         record.missing_rate = rate
         record.repeat = rep
     except Exception as exc:
@@ -177,17 +177,35 @@ def _benchmark_cell(task):
     return record
 
 
+# (splits, cfg, deterministic) of the grid a pool worker serves, set once
+# per worker by its initializer; never set in the process that runs the grid
+_worker_grid = None
+
+
+def _install_grid(*grid):
+    global _worker_grid
+    _worker_grid = grid
+
+
+def _pool_cell(task):
+    return _benchmark_cell(*_worker_grid, *task)
+
+
 def run_benchmark(ds, cfg, out_path=None, deterministic=False,
                   progress=None, jobs=1):
     """Full grid: every (missing rate, algorithm, repeat) cell.
 
     Masks are drawn once per rate, so all algorithms and repeats face the
     same missingness, and each rate's fold split (objective.FoldSplit) is
-    made once, before any cell runs, and handed to its cells (pickled
-    with each task when jobs > 1). A failing cell becomes an error record
-    and the benchmark keeps going. Records append to out_path (JSON
-    lines) in grid order as they complete; jobs > 1 runs cells in a
-    process pool (the output is identical, persistence stays ordered).
+    made once, before any cell runs. A failing cell becomes an error
+    record and the benchmark keeps going. Records append to out_path
+    (JSON lines) in grid order as they complete.
+
+    jobs > 1 runs cells in a process pool whose initializer hands each
+    worker the splits once (under fork, by sharing the parent's pages);
+    a task names its cell only. The output is identical to jobs=1. A
+    worker that dies mid-cell breaks the pool, and run_benchmark raises
+    BrokenProcessPool instead of waiting for its cell.
     """
     if not isinstance(ds, LabeledDataset):
         raise TypeError("run_benchmark expects a complete LabeledDataset")
@@ -195,27 +213,31 @@ def run_benchmark(ds, cfg, out_path=None, deterministic=False,
         # every cell would fail in its first evaluation
         raise ConfigError(
             f"dataset has {ds.n} rows, fewer than {cfg.eval.folds} folds")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
 
-    tasks = []
-    for rate in cfg.missing_rates:
-        masked = (as_masked(ds) if rate == 0 else
-                  inject_missing(ds, rate,
-                                 derive_seed(cfg.master_seed, "mask",
-                                             rate)))
-        split = objective.split_folds(masked, cfg.eval)
-        for algorithm in cfg.algorithms:
-            for rep in range(cfg.repeats):
-                run_seed = derive_seed(cfg.master_seed, "run", algorithm,
-                                       rate, rep)
-                tasks.append((split, algorithm, rate, rep, cfg, run_seed,
-                              deterministic))
+    splits = [objective.split_folds(
+        as_masked(ds) if rate == 0 else inject_missing(
+            ds, rate, derive_seed(cfg.master_seed, "mask", rate)),
+        cfg.eval) for rate in cfg.missing_rates]
+    tasks = [(rate_i, algorithm, rep,
+              derive_seed(cfg.master_seed, "run", algorithm, rate, rep))
+             for rate_i, rate in enumerate(cfg.missing_rates)
+             for algorithm in cfg.algorithms
+             for rep in range(cfg.repeats)]
+    grid = (splits, cfg, deterministic)
 
     sink = open(out_path, "w") if out_path else None
     records = []
-    pool = multiprocessing.Pool(jobs) if jobs > 1 else None
+    pool = None
     try:
-        produced = (pool.imap(_benchmark_cell, tasks) if pool
-                    else map(_benchmark_cell, tasks))
+        if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(jobs, initializer=_install_grid,
+                                       initargs=grid)
+            produced = pool.map(_pool_cell, tasks)
+        else:
+            produced = (_benchmark_cell(*grid, *task) for task in tasks)
         for record in produced:
             records.append(record)
             if sink:
@@ -226,8 +248,7 @@ def run_benchmark(ds, cfg, out_path=None, deterministic=False,
                 progress(record)
     finally:
         if pool:
-            pool.close()
-            pool.join()
+            pool.shutdown(cancel_futures=True)
         if sink:
             sink.close()
     return records

@@ -67,7 +67,6 @@ class SearchSpace:
     neuron_min: int = 1
     neuron_max: int = 400
     max_layers: int = 8
-    solver_count: int = 10
 
     def __post_init__(self):
         check_int_fields(self)
@@ -79,9 +78,6 @@ class SearchSpace:
                 f"{self.neuron_max}")
         if self.max_layers < 1:
             raise ValueError("max_layers must be >= 1")
-        if not 1 <= self.solver_count <= len(solvers.SOLVER_NAMES):
-            raise ValueError(
-                f"solver_count must be in [1, {len(solvers.SOLVER_NAMES)}]")
 
     def vector_bounds(self, n_layers):
         """Lower/upper bound arrays for an n_layers genome vector."""
@@ -216,7 +212,8 @@ def _round_into(gene, lo, hi):
 
 def decode(genome, space):
     """Realize a genome as a NetworkSpec (pure, total on valid genomes)."""
-    solver_id = _round_into(genome.hyper.solver_gene, 1, space.solver_count)
+    solver_id = _round_into(genome.hyper.solver_gene, 1,
+                            len(solvers.SOLVER_NAMES))
     return NetworkSpec(
         hidden_layer_sizes=tuple(
             _round_into(gene, space.neuron_min, space.neuron_max)

@@ -39,35 +39,22 @@ N_OUTPUTS = len(CLASS_NAMES)
 
 
 class MaskedMLP:
-    """Weights/biases for hidden layers plus the output layer.
+    """Weights/biases for hidden layers plus the output layer, as views
+    into one parameter buffer; init_network and init_stack make nets.
 
     `flat` holds [W1, b1, W2, b2, ..., W_out, b_out] back to back, each
     matrix row-major; `weights`, `biases` and `params` (the interleaved
     list) are views into it, so writing through any of them writes
     `flat`. Gradient lists from loss_and_gradients align with `params`.
-    The constructor copies the given arrays into a fresh `flat`.
 
-    A stack of k nets of one architecture (see `stack`) has a `flat` of
-    shape (k, P), one net per row, and every weight and bias view gains
-    a leading axis of length k; `row(i)` is net i as views into row i.
+    A stack of k nets of one architecture has a `flat` of shape (k, P),
+    one net per row, and every weight and bias view gains a leading axis
+    of length k; `row(i)` is net i as views into row i.
     """
 
-    def __init__(self, weights, biases, solver_meta=None):
-        if len(weights) != len(biases):
-            raise ValueError("weights and biases must pair up")
-        for wa, wb in zip(weights, weights[1:]):
-            if wa.shape[1] != wb.shape[0]:
-                raise ValueError(
-                    f"layer shapes do not chain: {wa.shape} -> {wb.shape}")
-        layout = _layout([weights[0].shape[0]]
-                         + [w.shape[1] for w in weights])
-        self._attach(layout, np.empty(layout[-1][1]), solver_meta)
-        given = [t for pair in zip(weights, biases) for t in pair]
-        for view, value in zip(self.params, given):
-            view[...] = value
-
-    def _attach(self, layout, flat, solver_meta=None):
-        """Make flat this net's parameter buffer, without copying it."""
+    def __init__(self, layout, flat):
+        """A net over flat, laid out as `_layout` gives, without copying
+        it."""
         self._layout = layout
         self.flat = flat
         self._unflattened = (None, [])
@@ -78,26 +65,10 @@ class MaskedMLP:
         # batch axis and the transposed weights
         self._batch_biases = [b[..., np.newaxis, :] for b in self.biases]
         self._weights_t = [w.swapaxes(-1, -2) for w in self.weights]
-        self.solver_meta = solver_meta
-
-    @classmethod
-    def _over(cls, layout, flat):
-        net = cls.__new__(cls)
-        net._attach(layout, flat)
-        return net
-
-    @classmethod
-    def stack(cls, nets):
-        """One stacked net whose (k, P) buffer holds a copy of each given
-        net's parameters, row i for nets[i]; all must share a layout."""
-        layout = nets[0]._layout
-        if any(net._layout != layout for net in nets):
-            raise ValueError("stacked nets must share one architecture")
-        return cls._over(layout, np.stack([net.flat for net in nets]))
 
     def row(self, i):
         """Net i of a stack, as views into row i of the stack's buffer."""
-        return self._over(self._layout, self.flat[i])
+        return MaskedMLP(self._layout, self.flat[i])
 
     def unflatten(self, vec):
         """Views of a buffer laid out like `flat`, ordered like params.
@@ -117,31 +88,6 @@ class MaskedMLP:
     @property
     def n_outputs(self):
         return self.weights[-1].shape[-1]
-
-    @property
-    def hidden_layer_sizes(self):
-        return tuple(w.shape[-1] for w in self.weights[:-1])
-
-    def to_dict(self):
-        return {
-            "input_dim": int(self.input_dim),
-            "hidden_layer_sizes": [int(s) for s in self.hidden_layer_sizes],
-            "n_outputs": int(self.n_outputs),
-            "solver": self.solver_meta,
-            "weights": [w.ravel(order="C").tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        sizes = [d["input_dim"]] + list(d["hidden_layer_sizes"]) \
-            + [d["n_outputs"]]
-        weights = [
-            np.array(flat, dtype=float).reshape(sizes[i], sizes[i + 1])
-            for i, flat in enumerate(d["weights"])
-        ]
-        biases = [np.array(b, dtype=float) for b in d["biases"]]
-        return cls(weights, biases, solver_meta=d.get("solver"))
 
 
 def _layout(sizes):
@@ -170,7 +116,7 @@ def init_stack(hidden_layer_sizes, input_dim, seeds, n_outputs=N_OUTPUTS):
     sizes = [int(input_dim)] + [int(s) for s in hidden_layer_sizes] \
         + [int(n_outputs)]
     layout = _layout(sizes)
-    stack = MaskedMLP._over(layout, np.zeros((len(seeds), layout[-1][1])))
+    stack = MaskedMLP(layout, np.zeros((len(seeds), layout[-1][1])))
     for row, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         for w in stack.weights:
@@ -182,12 +128,9 @@ def init_stack(hidden_layer_sizes, input_dim, seeds, n_outputs=N_OUTPUTS):
     return stack
 
 
-def init_network(hidden_layer_sizes, input_dim, seed, n_outputs=N_OUTPUTS,
-                 solver_meta=None):
+def init_network(hidden_layer_sizes, input_dim, seed, n_outputs=N_OUTPUTS):
     """Seeded init: weights uniform in +-sqrt(6/fan_in), biases zero."""
-    net = init_stack(hidden_layer_sizes, input_dim, [seed], n_outputs).row(0)
-    net.solver_meta = solver_meta
-    return net
+    return init_stack(hidden_layer_sizes, input_dim, [seed], n_outputs).row(0)
 
 
 def one_hot(y, n_outputs=N_OUTPUTS):

@@ -158,11 +158,11 @@ class FoldSplit:
 
     Fold i trains on the rows of X_train[i, :n_train[i]] (min-max scaled
     on its own training rows, then multiplied by their mask, as the
-    network's first layer would) with labels y_train[i, :n_train[i]],
-    whose one-hot rows are targets[i, :n_train[i]]. Rows past n_train[i]
-    are never read. groups lists the folds (as Python ints, which the
-    seeds are derived from) by training-set size, smallest size first,
-    and place[i] = (g, r) says that fold i is the r-th fold of group g.
+    network's first layer would) with one-hot labels
+    targets[i, :n_train[i]]. Rows past n_train[i] are never read.
+    groups lists the folds (as Python ints, which the seeds are derived
+    from) by training-set size, smallest size first, and
+    place[i] = (g, r) says that fold i is the r-th fold of group g.
     For each group, in the order of groups:
 
     - batch_rows[g] is an (epochs, folds of g, n) array: row r of epoch
@@ -189,7 +189,6 @@ class FoldSplit:
     seed: int
     missing_rate: float
     X_train: np.ndarray
-    y_train: np.ndarray
     targets: np.ndarray
     n_train: np.ndarray
     groups: tuple
@@ -259,7 +258,7 @@ def split_folds(ds, cfg):
     return FoldSplit(
         folds=cfg.folds, epochs=cfg.epochs, seed=cfg.seed,
         missing_rate=round(1.0 - float(np.mean(ds.M)), 6),
-        X_train=X_train, y_train=y_train, targets=network.one_hot(y_train),
+        X_train=X_train, targets=network.one_hot(y_train),
         n_train=n_train, groups=groups, place=tuple(place),
         batch_rows=tuple(batch_rows),
         test=tuple((np.stack([fold_tests[f][0] for f in group]),

@@ -148,15 +148,6 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "typo_key" in capsys.readouterr().err
 
 
-def test_space_solver_count_is_loaded(tmp_path):
-    cfg, _ = load_config(tiny_config(
-        tmp_path, space={"max_layers": 2, "solver_count": 3}))
-    assert cfg.space.solver_count == 3
-    bad = tiny_config(tmp_path, space={"max_layers": 2, "solver_count": 11})
-    assert main(["benchmark", "--config", str(bad),
-                 "--out", str(tmp_path / "b"), "--quiet"]) == 2
-
-
 def test_max_layers_beyond_space_exits_2(tmp_path, capsys):
     cfg = tiny_config(tmp_path, max_layers=3, space={"max_layers": 2})
     out = tmp_path / "b"
@@ -196,14 +187,14 @@ def test_max_layers_beyond_space_exits_2(tmp_path, capsys):
     {"master_seed": 7.5},
     {"max_layers": 2.0},
     {"space": {"neuron_min": 1, "neuron_max": 8.5, "max_layers": 2}},
-    {"space": {"neuron_min": 1, "neuron_max": 8, "max_layers": 2,
-               "solver_count": 3.0}},
     {"algorithms": []},
     {"missing_rates": []},
     {"algorithms": ["DE", "de"]},
     {"algorithms": ["CMA-ES", "PSO", "cmaes"]},
     {"missing_rates": [0.0, 0.0]},
     {"missing_rates": [0.4, 0, 0.4]},
+    {"flags": ["--jobs", "0"]},
+    {"flags": ["--jobs", "-1"]},
 ], ids=["population-3", "budget-below-population", "neuron-min-above-max",
         "fewer-rows-than-folds", "folds-string", "batch-size-0",
         "repeats-string", "missing-rates-scalar", "missing-rates-string",
@@ -212,14 +203,16 @@ def test_max_layers_beyond_space_exits_2(tmp_path, capsys):
         "folds-float", "batch-size-float", "eval-seed-float",
         "stage-budget-float", "population-float", "repeats-bool",
         "master-seed-float", "max-layers-float", "neuron-max-float",
-        "solver-count-float", "algorithms-empty", "missing-rates-empty",
-        "algorithms-duplicate", "algorithms-duplicate-spelling",
-        "missing-rates-duplicate", "missing-rates-duplicate-int"])
+        "algorithms-empty", "missing-rates-empty", "algorithms-duplicate",
+        "algorithms-duplicate-spelling", "missing-rates-duplicate",
+        "missing-rates-duplicate-int", "jobs-0", "jobs-negative"])
 def test_bad_config_exits_2_before_work(tmp_path, capsys, overrides):
+    overrides = dict(overrides)
+    flags = overrides.pop("flags", [])  # command-line flags, not config
     cfg = tiny_config(tmp_path, **overrides)
     out = tmp_path / "b"
     code = main(["benchmark", "--config", str(cfg), "--out", str(out),
-                 "--quiet"])
+                 "--quiet", *flags])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (out / "results.jsonl").exists()

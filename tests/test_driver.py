@@ -1,4 +1,10 @@
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +13,10 @@ from evomlp.data import as_masked, synthesize
 from evomlp.driver import (RunRecord, SearchConfig, config_manifest,
                            layer_growth_search, load_records, run_benchmark)
 from evomlp.genome import SearchSpace
-from evomlp.objective import EvalConfig
+from evomlp.objective import EvalConfig, FoldSplit
 from evomlp.seeding import derive_seed
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def tiny_config(**overrides):
@@ -151,6 +159,66 @@ def test_benchmark_parallel_matches_sequential(blob_data):
     parallel = run_benchmark(blob_data, cfg, deterministic=True, jobs=2)
     assert [r.to_dict() for r in sequential] \
         == [r.to_dict() for r in parallel]
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers share the parent's splits under fork")
+def test_benchmark_pool_never_pickles_a_split(blob_data, monkeypatch):
+    cfg = tiny_config(repeats=1)
+    sequential = run_benchmark(blob_data, cfg, deterministic=True)
+
+    def refuse(self, protocol):
+        raise AssertionError("a FoldSplit was pickled")
+
+    monkeypatch.setattr(FoldSplit, "__reduce_ex__", refuse)
+    parallel = run_benchmark(blob_data, cfg, deterministic=True, jobs=2)
+    assert [r.to_dict() for r in parallel] \
+        == [r.to_dict() for r in sequential]
+
+
+DEAD_WORKER = """
+import os, sys
+from concurrent.futures.process import BrokenProcessPool
+sys.path.insert(0, sys.argv[1])
+from evomlp import driver
+from evomlp.data import synthesize
+from evomlp.genome import SearchSpace
+from evomlp.objective import EvalConfig
+
+def die(*args, **kwargs):
+    os._exit(1)
+
+driver.layer_growth_search = die
+cfg = driver.SearchConfig(
+    stage_budget=4, population_size=4, repeats=2, missing_rates=(0.0,),
+    algorithms=("DE",), eval=EvalConfig(folds=2, epochs=1),
+    space=SearchSpace(neuron_min=1, neuron_max=4, max_layers=1))
+try:
+    driver.run_benchmark(synthesize(20, 3, 3, 3.0, seed=0), cfg, jobs=2)
+except BrokenProcessPool:
+    print("BrokenProcessPool")
+"""
+
+
+def test_benchmark_raises_when_a_worker_dies():
+    # in its own session, so a run that waits forever can be killed
+    # with every worker it forked
+    proc = subprocess.Popen([sys.executable, "-c", DEAD_WORKER, str(SRC)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        out = None
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    if out is None:
+        proc.communicate()
+        pytest.fail("run_benchmark still waits 60 s after a worker died")
+    assert out == "BrokenProcessPool\n", err[-2000:]
 
 
 def test_wall_time_omitted_when_deterministic(blob_data):

@@ -90,7 +90,7 @@ def test_decode_equals_rounding_then_clipping_arrays():
     rng = np.random.default_rng(8)
     ties = [0.5, 1.5, 2.5, 3.5, 9.5, 10.5, 39.5, 40.5, 41.5]
     for space in (SearchSpace(), SearchSpace(neuron_min=3, neuron_max=40,
-                                             max_layers=4, solver_count=7)):
+                                             max_layers=4)):
         for _ in range(300):
             genes = rng.uniform(-5.0, 50.0, size=6)
             genes[rng.random(6) < 0.3] = rng.choice(ties)
@@ -100,7 +100,7 @@ def test_decode_equals_rounding_then_clipping_arrays():
                 neurons=tuple(float(g) for g in genes[1:]))
             spec = decode(genome, space)
             assert spec.solver_id == int(np.clip(round_half_away(genes[0]),
-                                                 1, space.solver_count))
+                                                 1, len(solvers.SOLVER_NAMES)))
             assert spec.hidden_layer_sizes == tuple(
                 int(s) for s in np.clip(round_half_away(genes[1:]),
                                         space.neuron_min, space.neuron_max))

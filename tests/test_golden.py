@@ -111,8 +111,9 @@ def test_small_config_matches_golden(tmp_path, monkeypatch):
 
 
 def test_small_config_matches_golden_with_two_jobs(tmp_path, monkeypatch):
-    # each rate's split is made once and pickled to the worker processes,
-    # which fork with the lowered STACK_PARAMS
+    # each rate's split is made once, before the two worker processes
+    # fork with the lowered STACK_PARAMS, and reaches each worker once,
+    # through the pool's initializer
     _assert_golden("small", _small_config_digest(tmp_path, monkeypatch, 2))
 
 

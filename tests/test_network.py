@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from evomlp.network import (MaskedMLP, _row_max, _softmax, forward,
-                            forward_batch, init_network, init_stack,
-                            loss_and_gradients, mask_input, one_hot, predict)
+from evomlp.network import (_row_max, _softmax, forward, forward_batch,
+                            init_network, init_stack, loss_and_gradients,
+                            mask_input, one_hot)
 
 
 def _random_case(rng, max_hidden_layers=3, max_neurons=16,
@@ -73,10 +73,9 @@ def test_all_ones_mask_is_dense_evaluation():
 
 def test_hand_traced_single_neuron():
     # 1 input -> 1 rectifier neuron (w=1, b=0) -> outputs (1,0,0) row
-    net = MaskedMLP(
-        weights=[np.array([[1.0]]), np.array([[1.0, 0.0, 0.0]])],
-        biases=[np.zeros(1), np.zeros(3)],
-    )
+    net = init_network([1], 1, seed=0)
+    net.weights[0][...] = 1.0
+    net.weights[1][...] = [1.0, 0.0, 0.0]
     scores = forward(net, [2.0], [1.0])
     expected = np.exp([2.0, 0.0, 0.0])
     expected /= expected.sum()
@@ -196,28 +195,10 @@ def test_init_is_seeded_and_biases_zero():
     assert np.all(np.abs(a.weights[0]) <= limit)
 
 
-def test_serialization_round_trip():
-    net = init_network([7, 3], 5, seed=13,
-                       solver_meta={"solver_id": 9, "name": "Rprop"})
-    net.flat += np.random.default_rng(1).normal(size=net.flat.size)
-    clone = MaskedMLP.from_dict(net.to_dict())
-    assert np.array_equal(net.flat, clone.flat)
-    for wa, wb in zip(net.weights, clone.weights):
-        assert np.array_equal(wa, wb)
-    for ba, bb in zip(net.biases, clone.biases):
-        assert np.array_equal(ba, bb)
-    assert clone.solver_meta == {"solver_id": 9, "name": "Rprop"}
-    X = np.random.default_rng(0).normal(size=(4, 5))
-    assert np.array_equal(predict(net, X), predict(clone, X))
-
-
 def test_shape_mismatch_raises():
     net = init_network([4], 3, seed=0)
     with pytest.raises(ValueError):
         forward(net, [1.0, 2.0], [1, 1])
-    with pytest.raises(ValueError):
-        MaskedMLP(weights=[np.zeros((3, 4)), np.zeros((5, 3))],
-                  biases=[np.zeros(4), np.zeros(3)])
 
 
 def test_weights_and_biases_alias_flat():
@@ -246,6 +227,16 @@ def test_gradients_written_into_buffer():
         assert v.shape == g.shape == p.shape
 
 
+def _stack_of(nets):
+    """A stack holding a copy of each net's parameters, row i for
+    nets[i]; all share one architecture."""
+    hidden = [w.shape[1] for w in nets[0].weights[:-1]]
+    stack = init_stack(hidden, nets[0].input_dim, [0] * len(nets))
+    for i, net in enumerate(nets):
+        stack.flat[i] = net.flat
+    return stack
+
+
 def test_stacked_loss_and_gradients_match_each_net():
     rng = np.random.default_rng(21)
     for _ in range(30):
@@ -255,7 +246,7 @@ def test_stacked_loss_and_gradients_match_each_net():
                   for _ in range(int(rng.integers(1, 4)))]
         nets = [init_network(hidden, p, seed=int(rng.integers(1 << 31)))
                 for _ in range(k)]
-        stack = MaskedMLP.stack(nets)
+        stack = _stack_of(nets)
         X = rng.normal(size=(k, n, p))
         M = (rng.random((k, n, p)) > 0.3).astype(float)
         y = rng.integers(0, 3, size=(k, n))
@@ -274,9 +265,11 @@ def test_stacked_loss_and_gradients_match_each_net():
 
 def test_stack_rows_alias_the_stack_buffer():
     nets = [init_network([5, 4], 3, seed=s) for s in range(3)]
-    stack = MaskedMLP.stack(nets)
+    stack = _stack_of(nets)
     assert stack.flat.shape == (3, nets[0].flat.size)
-    assert stack.hidden_layer_sizes == (5, 4) and stack.input_dim == 3
+    assert [w.shape for w in stack.weights] == [(3, 3, 5), (3, 5, 4),
+                                                (3, 4, 3)]
+    assert stack.input_dim == 3
     for p in stack.params:
         assert np.shares_memory(p, stack.flat)
     for i, net in enumerate(nets):
@@ -285,19 +278,19 @@ def test_stack_rows_alias_the_stack_buffer():
         row.weights[0][0, 0] = 7.0
         assert stack.flat[i, 0] == 7.0 == stack.weights[0][i, 0, 0]
         assert net.weights[0][0, 0] != 7.0  # the stack holds a copy
-    with pytest.raises(ValueError):
-        MaskedMLP.stack([init_network([5], 3, seed=0),
-                         init_network([4], 3, seed=0)])
 
 
 def _drawn_one_by_one(hidden, p, seed):
     """Reference init: each layer drawn into its own array, then copied
-    into a net, as init_network did before it drew into a stack."""
+    into a net's weights, as init_network did before it drew into a
+    stack."""
     rng = np.random.default_rng(seed)
     sizes = [p, *hidden, 3]
-    weights = [rng.uniform(-np.sqrt(6.0 / a), np.sqrt(6.0 / a), size=(a, b))
-               for a, b in zip(sizes, sizes[1:])]
-    return MaskedMLP(weights, [np.zeros(b) for b in sizes[1:]])
+    net = init_network(hidden, p, seed=0)
+    for w, a, b in zip(net.weights, sizes, sizes[1:]):
+        w[...] = rng.uniform(-np.sqrt(6.0 / a), np.sqrt(6.0 / a),
+                             size=(a, b))
+    return net
 
 
 def test_init_stack_rows_equal_init_network():

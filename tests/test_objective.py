@@ -294,7 +294,8 @@ def _assert_stacking_changes_nothing(spec, split, cfg):
     for fold_i, net in trained.items():
         n = split.n_train[fold_i]
         alone = _train_alone(spec, split.X_train[fold_i, :n],
-                             split.y_train[fold_i, :n], fold_i, cfg)
+                             split.targets[fold_i, :n].argmax(axis=-1),
+                             fold_i, cfg)
         assert (net is None) == (alone is None)
         if net is not None:
             assert np.array_equal(net.flat, alone.flat)
