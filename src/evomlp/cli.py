@@ -228,6 +228,8 @@ def _paired_scores(records, algorithms):
 
 
 def cmd_stats(args):
+    if not 0 < args.alpha < 1:  # false for NaN too
+        raise ConfigError(f"alpha must be in (0, 1), got {args.alpha}")
     records = driver.load_records(args.results)
     clean, _ = report.split_records(records)
     algorithms = report.algorithms_in(clean)

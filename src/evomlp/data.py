@@ -84,6 +84,17 @@ class MaskedDataset:
         return self.X.shape[1]
 
 
+def _names(value, what):
+    """value as a tuple; SchemaError unless it is a list or tuple of
+    distinct strings (a string alone would be read character by
+    character, and a repeated category encodes as a duplicate column)."""
+    if (not isinstance(value, (list, tuple)) or len(set(value)) < len(value)
+            or not all(isinstance(v, str) for v in value)):
+        raise SchemaError(
+            f"{what} must be a list of distinct strings, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class DataSchema:
     """Declares the feature columns of a raw trace and how to encode them.
@@ -97,21 +108,27 @@ class DataSchema:
     settings: tuple = ()
 
     def __post_init__(self):
+        if not isinstance(self.features, dict) or not self.features:
+            raise SchemaError("schema features must be a non-empty object")
         for name, kind in self.features.items():
             if kind == "numeric":
                 continue
             if isinstance(kind, dict) and set(kind) in ({"ordinal"},
                                                         {"onehot"}):
+                _names(*kind.values(), f"feature {name!r} categories")
                 continue
             raise SchemaError(f"feature {name!r} has unknown kind {kind!r}")
-        for name in self.settings:
+        for name in _names(self.settings, "settings"):
             if name not in self.features:
                 raise SchemaError(f"settings column {name!r} not a feature")
 
     @classmethod
     def from_dict(cls, d):
-        return cls(features=dict(d["features"]),
-                   settings=tuple(d.get("settings", ())))
+        """The schema a parsed JSON object declares."""
+        if not isinstance(d, dict) or "features" not in d:
+            raise SchemaError("a schema must be an object with 'features'")
+        return cls(features=d["features"],
+                   settings=_names(d.get("settings", ()), "settings"))
 
     def encoded_names(self):
         names = []

@@ -21,7 +21,7 @@ from .data import (MAX_MISSING_RATE, LabeledDataset, as_masked,
 from .genome import SearchSpace, check_int_fields, decode, grow
 from .objective import EvalConfig, FoldSplit
 from .pbmh import (ALGORITHM_NAMES, ConfigError, OptimizerConfig,
-                   canonical_name, optimize_stage)
+                   canonical_name, check_population, optimize_stage)
 from .seeding import derive_seed
 
 
@@ -45,12 +45,7 @@ class SearchConfig:
         check_int_fields(self)
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
-        if self.population_size < 4:
-            raise ConfigError("population_size must be >= 4")
-        if self.stage_budget < self.population_size:
-            raise ConfigError(
-                f"stage_budget {self.stage_budget} smaller than "
-                f"population_size {self.population_size}")
+        check_population(self.population_size, self.stage_budget)
         bad = [rate for rate in self.missing_rates
                if not is_missing_rate(rate)]
         if bad:

@@ -15,18 +15,8 @@ import numpy as np
 
 from . import solvers
 
-# Field order defines the vector layout of the fixed segment.
-HYPER_FIELDS = (
-    "learning_rate",
-    "weight_decay",
-    "rho",
-    "beta1",
-    "beta2",
-    "lambda",
-    "momentum",
-    "solver",
-)
-
+# Key order defines the vector layout of the fixed segment; the solver
+# gene spans the ids of solvers.RULES.
 HYPER_BOUNDS = {
     "learning_rate": (0.0, 1.0),
     "weight_decay": (0.0, 0.2),
@@ -35,8 +25,9 @@ HYPER_BOUNDS = {
     "beta2": (0.8, 1.0),
     "lambda": (0.0, 1.0),
     "momentum": (0.0, 1.0),
-    "solver": (1.0, 10.0),
+    "solver": (1.0, float(len(solvers.SOLVER_NAMES))),
 }
+HYPER_FIELDS = tuple(HYPER_BOUNDS)
 
 
 class CapacityError(ValueError):
@@ -81,11 +72,9 @@ class SearchSpace:
 
     def vector_bounds(self, n_layers):
         """Lower/upper bound arrays for an n_layers genome vector."""
-        lo = [HYPER_BOUNDS[f][0] for f in HYPER_FIELDS]
-        hi = [HYPER_BOUNDS[f][1] for f in HYPER_FIELDS]
-        lo += [float(self.neuron_min)] * n_layers
-        hi += [float(self.neuron_max)] * n_layers
-        return np.array(lo), np.array(hi)
+        lo, hi = zip(*HYPER_BOUNDS.values())
+        return (np.array(lo + (float(self.neuron_min),) * n_layers),
+                np.array(hi + (float(self.neuron_max),) * n_layers))
 
 
 @dataclass(frozen=True)
@@ -238,6 +227,5 @@ def grow(genome, space, rng):
 
 def mid_range_hyper():
     """Hyperparameter vector at the midpoint of every bound interval."""
-    mids = [0.5 * (lo + hi) for lo, hi in
-            (HYPER_BOUNDS[f] for f in HYPER_FIELDS)]
-    return HyperparamVector(*mids)
+    return HyperparamVector(
+        *(0.5 * (lo + hi) for lo, hi in HYPER_BOUNDS.values()))

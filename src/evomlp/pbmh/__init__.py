@@ -16,7 +16,8 @@ import numpy as np
 from ..genome import Genome
 from .cmaes import CMAES_CONSTANTS, run_cmaes
 from .core import (Budget, BudgetSpent, ConfigError,
-                   NonFiniteObjectiveError, OptimizerConfig, OptResult)
+                   NonFiniteObjectiveError, OptimizerConfig, OptResult,
+                   check_population)
 from .de import (DE_CONSTANTS, JADE_CONSTANTS, LSHADE_CONSTANTS,
                  SAPDE_CONSTANTS, SHADE_CONSTANTS, run_de, run_jade,
                  run_lshade, run_sapde, run_shade)
@@ -102,11 +103,7 @@ def minimize(algorithm, fn, lower, upper, population_size, budget, seed,
     upper = np.asarray(upper, dtype=float)
     if lower.shape != upper.shape or np.any(lower > upper):
         raise ConfigError("invalid bounds")
-    if population_size < 4:
-        raise ConfigError("population_size must be >= 4")
-    if budget < population_size:
-        raise ConfigError(
-            f"budget {budget} smaller than population {population_size}")
+    check_population(population_size, budget)
     name = canonical_name(algorithm)
     ledger = Budget(fn, budget)
     with suppress(BudgetSpent):

@@ -43,6 +43,17 @@ class OptResult:
         return np.minimum.accumulate(self.trace)
 
 
+def check_population(population_size, budget):
+    """ConfigError unless a population has at least 4 members (DE's
+    mutation draws three besides the target) and the budget covers its
+    first generation."""
+    if population_size < 4:
+        raise ConfigError("population_size must be >= 4")
+    if budget < population_size:
+        raise ConfigError(f"stage budget {budget} smaller than "
+                          f"population_size {population_size}")
+
+
 class BudgetSpent(Exception):
     """Ends a runner in place of an evaluation past the limit."""
 

@@ -1,8 +1,9 @@
 """The 10 gradient-update rules a solver gene can select.
 
-Each rule follows its original formulation and consumes only the
-hyperparameters declared in CONSUMED; everything else in the genome is
-ignored for that solver.
+Each rule follows its original formulation and reads only the
+hyperparameters its class declares in CONSUMED; everything else in the
+genome is ignored for that solver. RULES is the one table of rules: a
+solver id is 1 + the rule's position in it.
 
 A solver is built for a list of tensor shapes and updates a list of
 parameter tensors of those shapes in place. Training passes a single
@@ -23,38 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-SOLVER_NAMES = {
-    1: "Adam",
-    2: "Adadelta",
-    3: "AdamW",
-    4: "Adamax",
-    5: "ASGD",
-    6: "NAdam",
-    7: "RAdam",
-    8: "RMSprop",
-    9: "Rprop",
-    10: "SGD",
-}
-
-SOLVER_IDS = {name: sid for sid, name in SOLVER_NAMES.items()}
-
-# Hyperparameters each rule actually reads. "rho" doubles as Adadelta's
-# decay and RMSprop's smoothing constant; "lambda" feeds ASGD's decay term
-# and NAdam's momentum-decay exponent.
-CONSUMED = {
-    1: frozenset({"learning_rate", "beta1", "beta2", "weight_decay"}),
-    2: frozenset({"learning_rate", "rho", "weight_decay"}),
-    3: frozenset({"learning_rate", "beta1", "beta2", "weight_decay"}),
-    4: frozenset({"learning_rate", "beta1", "beta2", "weight_decay"}),
-    5: frozenset({"learning_rate", "lambda", "weight_decay"}),
-    6: frozenset({"learning_rate", "beta1", "beta2", "lambda",
-                  "weight_decay"}),
-    7: frozenset({"learning_rate", "beta1", "beta2", "weight_decay"}),
-    8: frozenset({"learning_rate", "rho", "momentum", "weight_decay"}),
-    9: frozenset({"learning_rate"}),
-    10: frozenset({"learning_rate", "momentum", "weight_decay"}),
-}
 
 EPS = 1e-8
 ADADELTA_EPS = 1e-6  # 1e-8 takes hundreds of steps to leave the start
@@ -84,13 +53,11 @@ def make_solver(spec, param_shapes):
     spec.params must contain exactly the consumed parameters for the id.
     """
     consumed = consumed_parameters(spec.solver_id)
-    got = set(spec.params)
-    if got != set(consumed):
-        raise ValueError(
-            f"{SOLVER_NAMES[spec.solver_id]} expects params {sorted(consumed)}"
-            f", got {sorted(got)}")
-    cls = _SOLVER_CLASSES[spec.solver_id]
-    return cls(spec.params, [tuple(s) for s in param_shapes])
+    rule = RULES[spec.solver_id - 1]
+    if set(spec.params) != consumed:
+        raise ValueError(f"{rule.__name__} expects params {sorted(consumed)}"
+                         f", got {sorted(spec.params)}")
+    return rule(spec.params, [tuple(s) for s in param_shapes])
 
 
 def _check_grads(grads):
@@ -175,6 +142,8 @@ class _SolverState:
 class _Moments(_SolverState):
     """First moment m and second statistic v, as the Adam family keeps."""
 
+    CONSUMED = frozenset({"learning_rate", "beta1", "beta2", "weight_decay"})
+
     def __init__(self, params, shapes):
         super().__init__(params, shapes)
         self.m = _zeros(shapes)
@@ -195,6 +164,10 @@ class Adam(_Moments):
 
 
 class Adadelta(_SolverState):
+    """"rho" is the decay of both running averages."""
+
+    CONSUMED = frozenset({"learning_rate", "rho", "weight_decay"})
+
     def __init__(self, params, shapes):
         super().__init__(params, shapes)
         self.sq_avg = _zeros(shapes)
@@ -247,6 +220,8 @@ class ASGD(_SolverState):
     averaged SGD. Training and scoring use the current iterate, so the
     Polyak average of the iterates is not kept."""
 
+    # "lambda" is the decay term of the step size and of the shrink
+    CONSUMED = frozenset({"learning_rate", "lambda", "weight_decay"})
     ALPHA = 0.75
     SCRATCH = 1
 
@@ -262,6 +237,8 @@ class ASGD(_SolverState):
 
 class NAdam(_Moments):
     """Adam with Nesterov momentum; "lambda" is the momentum-decay rate."""
+
+    CONSUMED = _Moments.CONSUMED | {"lambda"}
 
     def __init__(self, params, shapes):
         super().__init__(params, shapes)
@@ -314,6 +291,8 @@ class RAdam(_Moments):
 class RMSprop(_SolverState):
     """"rho" acts as the squared-gradient smoothing constant here."""
 
+    CONSUMED = frozenset({"learning_rate", "rho", "momentum", "weight_decay"})
+
     def __init__(self, params, shapes):
         super().__init__(params, shapes)
         self.sq_avg = _zeros(shapes)
@@ -348,6 +327,7 @@ class Rprop(_SolverState):
     weights at a time, and updates only them: no masked ufunc, and no
     temporary longer than a chunk."""
 
+    CONSUMED = frozenset({"learning_rate"})
     ETA_PLUS = 1.2
     ETA_MINUS = 0.5
     STEP_MIN = 1e-6
@@ -384,6 +364,7 @@ class Rprop(_SolverState):
 
 
 class SGD(_SolverState):
+    CONSUMED = frozenset({"learning_rate", "momentum", "weight_decay"})
     SCRATCH = 1
 
     def __init__(self, params, shapes):
@@ -402,15 +383,7 @@ class SGD(_SolverState):
         w -= s1
 
 
-_SOLVER_CLASSES = {
-    1: Adam,
-    2: Adadelta,
-    3: AdamW,
-    4: Adamax,
-    5: ASGD,
-    6: NAdam,
-    7: RAdam,
-    8: RMSprop,
-    9: Rprop,
-    10: SGD,
-}
+RULES = (Adam, Adadelta, AdamW, Adamax, ASGD, NAdam, RAdam, RMSprop, Rprop,
+         SGD)
+SOLVER_NAMES = {sid: rule.__name__ for sid, rule in enumerate(RULES, 1)}
+CONSUMED = {sid: rule.CONSUMED for sid, rule in enumerate(RULES, 1)}

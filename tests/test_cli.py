@@ -93,6 +93,31 @@ def test_prepare_charging_only_warns_exit_0(tmp_path, trace_files,
     assert read_dataset_csv(out / "prepared.csv").n == 0
 
 
+@pytest.mark.parametrize("schema, message", [
+    ([SCHEMA], "must be an object with 'features'"),
+    ({"settings": ["wifi"]}, "must be an object with 'features'"),
+    ({"features": [["cpu", "numeric"]]}, "features must be a non-empty"),
+    ({"features": {}}, "features must be a non-empty object"),
+    ({**SCHEMA, "settings": "cpu"}, "settings must be a list of distinct"),
+    ({"features": {"cpu": "numeric", "wifi": {"ordinal": "onoff"}}},
+     "'wifi' categories must be a list of distinct strings"),
+    ({"features": {"wifi": {"onehot": ["on", "on", "off"]}}},
+     "'wifi' categories must be a list of distinct strings"),
+], ids=["list", "no-features", "features-list", "features-empty",
+        "settings-string", "categories-string", "categories-repeated"])
+def test_prepare_bad_schema_exits_2(tmp_path, trace_files, capsys, schema,
+                                    message):
+    raw, _ = trace_files
+    bad = tmp_path / "bad_schema.json"
+    bad.write_text(json.dumps(schema))
+    out = tmp_path / "o"
+    code = main(["prepare", "--input", str(raw), "--schema", str(bad),
+                 "--output", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_inject_missing_outputs(tmp_path, trace_files):
     raw, schema = trace_files
     prep = tmp_path / "prep"
@@ -300,6 +325,16 @@ def test_stats_single_algorithm_exits_2(bench_dir, tmp_path, capsys):
     only_de.write_text("".join(lines))
     assert main(["stats", "--results", str(only_de),
                  "--out", str(tmp_path / "s")]) == 2
+
+
+@pytest.mark.parametrize("alpha", ["5", "1", "0", "-1", "nan"])
+def test_stats_alpha_outside_unit_interval_exits_2(bench_dir, tmp_path,
+                                                   capsys, alpha):
+    out = tmp_path / "s"
+    assert main(["stats", "--results", str(bench_dir / "results.jsonl"),
+                 "--alpha", alpha, "--out", str(out)]) == 2
+    assert "alpha must be in (0, 1)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_outputs(bench_dir, tmp_path):

@@ -169,3 +169,25 @@ def test_vector_bounds_dimension(space):
     lo, hi = space.vector_bounds(4)
     assert lo.size == hi.size == len(HYPER_FIELDS) + 4
     assert np.all(lo < hi)
+
+
+def test_solver_table_is_one_table(space):
+    rules = solvers.RULES
+    assert list(solvers.SOLVER_NAMES.items()) == [
+        (i, rule.__name__) for i, rule in enumerate(rules, 1)]
+    assert list(solvers.CONSUMED.items()) == [
+        (i, rule.CONSUMED) for i, rule in enumerate(rules, 1)]
+    for sid, consumed in solvers.CONSUMED.items():
+        assert consumed <= set(HYPER_FIELDS), solvers.SOLVER_NAMES[sid]
+        solver = solvers.make_solver(
+            solvers.SolverSpec(sid, selective_exclusion(sid,
+                                                        mid_range_hyper())),
+            [(2,)])
+        assert type(solver) is rules[sid - 1]
+    n = len(solvers.SOLVER_NAMES)
+    lo, hi = space.vector_bounds(1)
+    at = HYPER_FIELDS.index("solver")
+    assert (lo[at], hi[at]) == (1.0, n)
+    spec = decode(Genome.from_vector(hi), space)  # every gene at its top
+    assert spec.solver_id == n
+    assert spec.solver_name == rules[-1].__name__
