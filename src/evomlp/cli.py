@@ -8,6 +8,7 @@ failed grid cells. All state is explicit (config file + flags); under
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -98,9 +99,10 @@ def load_dataset(spec, base_dir="."):
             ("n", 600), ("p", 12), ("classes", 3), ("seed", 0)))
         separation = spec.get("separation", 4.0)
         if (any(type(v) is not int for v in (n, p, classes, seed))
-                or type(separation) not in (int, float)):
+                or type(separation) not in (int, float)
+                or not math.isfinite(separation)):
             raise ConfigError("dataset n, p, classes and seed must be "
-                              "integers and separation a number")
+                              "integers and separation a finite number")
         return data.synthesize(n=n, p=p, n_classes=classes,
                                separation=separation, seed=seed)
     if kind == "csv":
@@ -148,6 +150,8 @@ def cmd_inject_missing(args):
 
 
 def cmd_search(args):
+    if args.mask and not args.data:
+        raise ConfigError("--mask masks the rows of --data; give both")
     if args.config:
         cfg, dataset_spec = load_config(args.config)
     else:
@@ -231,7 +235,7 @@ def cmd_stats(args):
     if not 0 < args.alpha < 1:  # false for NaN too
         raise ConfigError(f"alpha must be in (0, 1), got {args.alpha}")
     records = driver.load_records(args.results)
-    clean, _ = report.split_records(records)
+    clean = [r for r in records if not r.error]
     algorithms = report.algorithms_in(clean)
     if len(algorithms) < 2:
         print("need results for at least 2 algorithms", file=sys.stderr)

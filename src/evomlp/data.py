@@ -340,6 +340,9 @@ def read_dataset_csv(path):
         for lineno, rec in enumerate(reader, start=2):
             try:
                 X_rows.append([float(v) for v in rec[:-1]])
+                if not np.all(np.isfinite(X_rows[-1])):
+                    raise ValueError(f"feature values {rec[:-1]} are not "
+                                     "all finite numbers")
                 labels.append(CLASS_NAMES.index(rec[-1]))
             except ValueError as exc:
                 raise RowParseError(f"line {lineno}: {exc}") from exc
@@ -359,5 +362,7 @@ def read_masked_csv(dataset_path, mask_path):
     if M.shape != ds.X.shape:
         raise SchemaError(
             f"mask shape {M.shape} does not match data {ds.X.shape}")
+    if not np.all((M == 0) | (M == 1)):
+        raise SchemaError("mask entries must be 0 (missing) or 1 (observed)")
     return MaskedDataset(X=ds.X * M, M=M, y=ds.y,
                          feature_names=ds.feature_names)

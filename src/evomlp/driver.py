@@ -196,11 +196,12 @@ def run_benchmark(ds, cfg, out_path=None, deterministic=False,
     record and the benchmark keeps going. Records append to out_path
     (JSON lines) in grid order as they complete.
 
-    jobs > 1 runs cells in a process pool whose initializer hands each
-    worker the splits once (under fork, by sharing the parent's pages);
-    a task names its cell only. The output is identical to jobs=1. A
-    worker that dies mid-cell breaks the pool, and run_benchmark raises
-    BrokenProcessPool instead of waiting for its cell.
+    jobs > 1 runs cells in a process pool of at most one worker per
+    cell, whose initializer hands each worker the splits once (under
+    fork, by sharing the parent's pages); a task names its cell only. The
+    output is identical to jobs=1. A worker that dies mid-cell breaks the
+    pool, and run_benchmark raises BrokenProcessPool instead of waiting
+    for its cell.
     """
     if not isinstance(ds, LabeledDataset):
         raise TypeError("run_benchmark expects a complete LabeledDataset")
@@ -221,6 +222,8 @@ def run_benchmark(ds, cfg, out_path=None, deterministic=False,
              for algorithm in cfg.algorithms
              for rep in range(cfg.repeats)]
     grid = (splits, cfg, deterministic)
+    # a pool starts all its workers on the first task, needed or not
+    jobs = min(jobs, len(tasks))
 
     sink = open(out_path, "w") if out_path else None
     records = []

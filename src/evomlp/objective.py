@@ -6,24 +6,25 @@ error, is not differentiable); scoring uses percent error so fitness lives
 in [0, 100] with accuracy = 100 - error on the same predictions.
 
 What an evaluation needs that does not depend on the genome is made
-once per dataset by `split_folds`, as a FoldSplit: the folds, each
-fold's min-max scaling and masking, its one-hot training targets, the
-groups of folds by training-set size, each fold's batch order for every
-epoch, each fold's seeded initial-weight generator and the test sets
-stacked by group. `driver.run_benchmark` makes one split per missing
-rate before any grid cell runs, and `evaluate` takes it in place of the
-dataset. The batch orders take epochs x folds x training rows x 8
+once per dataset by `split_folds`, as a FoldSplit indexed by fold: each
+fold's min-max scaled and masked training and test rows, its one-hot
+training targets, its batch order for every epoch and its seeded
+initial-weight generator. `driver.run_benchmark` makes one split per
+missing rate before any grid cell runs, and `evaluate` takes it in place
+of the dataset. The batch orders take epochs x folds x training rows x 8
 bytes, 5.4 MB at the default EvalConfig on a 1 500-row dataset.
 
 Within one evaluation the folds train as stacks of nets (see network):
-folds with training sets of one size share a stack, so every mini-batch
-has one length across the stack and nothing is padded, and every fold
-gets the bits it would get alone. `stratified_folds` deals rows
-round-robin, so training sets take at most two sizes and an evaluation
-at most two stacks. A stack holds at most STACK_PARAMS parameters, since
-its memory grows with k. Training gathers each epoch's rows once, takes
-every mini-batch as a view of that gather, and never asks for the loss.
-Each stack is scored with one `predict` call and one confusion count.
+a stack is a range of consecutive folds whose training sets have one
+size, so every mini-batch has one length across the stack and nothing
+is padded, and every fold gets the bits it would get alone.
+`stratified_folds` deals rows round-robin, so fold f tests on
+n // k + (f < n % k) rows: training sets take at most two sizes, each
+on one run of consecutive folds, and an evaluation trains at most two
+stacks. A stack holds at most STACK_PARAMS parameters, since its memory
+grows with k. Training gathers each epoch's rows once, takes every
+mini-batch as a view of that gather, and never asks for the loss. Each
+stack is scored with one `predict` call and one confusion count.
 """
 
 from dataclasses import dataclass
@@ -156,23 +157,20 @@ STACK_PARAMS = 1 << 16
 class FoldSplit:
     """The stratified k-fold split of one dataset, ready for training.
 
-    Fold i trains on the rows of X_train[i, :n_train[i]] (min-max scaled
-    on its own training rows, then multiplied by their mask, as the
-    network's first layer would) with one-hot labels
-    targets[i, :n_train[i]]. Rows past n_train[i] are never read.
-    groups lists the folds (as Python ints, which the seeds are derived
-    from) by training-set size, smallest size first, and
-    place[i] = (g, r) says that fold i is the r-th fold of group g.
-    For each group, in the order of groups:
+    Every per-fold array is indexed by fold (batch_rows by epoch, then
+    fold) and padded to the largest fold; fold i reads only its first
+    n_train[i] training and n_test[i] test rows, and padding is never
+    read.
 
-    - batch_rows[g] is an (epochs, folds of g, n) array: row r of epoch
-      e lists fold groups[g][r]'s training rows in that epoch's batch
-      order, as rows of X_train.reshape(-1, p) (and of targets reshaped
-      alike), the orders drawn from the fold's own seeded Generator;
-    - test[g] = (X_test, y_test) holds the group's test sets stacked,
-      (folds of g, n_test, p) and (folds of g, n_test), scaled and masked
-      like the training rows; folds with training sets of one size have
-      test sets of one size.
+    - X_train[i, :n_train[i]] are fold i's training rows, min-max scaled
+      on themselves and then multiplied by their mask, as the network's
+      first layer would; targets[i, :n_train[i]] are their one-hot labels.
+    - batch_rows[e, i, :n_train[i]] lists fold i's training rows in epoch
+      e's batch order, as rows of X_train.reshape(-1, p) (and of targets
+      reshaped alike), the orders drawn from the fold's own seeded
+      Generator.
+    - X_test[i, :n_test[i]] and y_test[i, :n_test[i]] are fold i's test
+      rows, scaled and masked like its training rows, and their labels.
 
     init_rngs[i] = (Generator, state) is fold i's Generator for initial
     weights and its freshly seeded state; init_rng(i) resets and returns
@@ -191,10 +189,10 @@ class FoldSplit:
     X_train: np.ndarray
     targets: np.ndarray
     n_train: np.ndarray
-    groups: tuple
-    place: tuple
-    batch_rows: tuple
-    test: tuple
+    batch_rows: np.ndarray
+    X_test: np.ndarray
+    y_test: np.ndarray
+    n_test: np.ndarray
     init_rngs: tuple
 
     @property
@@ -221,49 +219,36 @@ def split_folds(ds, cfg):
     folds = stratified_folds(ds.y, cfg.folds,
                              np.random.default_rng(
                                  derive_seed(cfg.seed, "folds")))
-    n_train = ds.n - np.array([f.size for f in folds])
+    n_test = np.array([f.size for f in folds])
+    n_train = ds.n - n_test
     n_max = n_train.max()
     X_train = np.zeros((cfg.folds, n_max, ds.p))
     y_train = np.zeros((cfg.folds, n_max), dtype=ds.y.dtype)
-    fold_tests = []
-    for fold_i, test_idx in enumerate(folds):
+    X_test = np.zeros((cfg.folds, n_test.max(), ds.p))
+    y_test = np.zeros((cfg.folds, n_test.max()), dtype=ds.y.dtype)
+    batch_rows = np.zeros((cfg.epochs, cfg.folds, n_max), dtype=np.intp)
+    init_rngs = []
+    for fold_i, test_idx in enumerate(folds):  # Python ints seed the rngs
         train_idx = np.setdiff1d(np.arange(ds.n), test_idx)
+        n, t = train_idx.size, test_idx.size
         M_train, M_test = ds.M[train_idx], ds.M[test_idx]
         mn, mx = _fit_minmax(ds.X[train_idx], M_train)
-        X_train[fold_i, :train_idx.size] = network.mask_input(
+        X_train[fold_i, :n] = network.mask_input(
             _apply_minmax(ds.X[train_idx], M_train, mn, mx), M_train)
-        y_train[fold_i, :train_idx.size] = ds.y[train_idx]
-        fold_tests.append((network.mask_input(
-            _apply_minmax(ds.X[test_idx], M_test, mn, mx), M_test),
-            ds.y[test_idx]))
-    groups = tuple(np.flatnonzero(n_train == size).tolist()
-                   for size in np.unique(n_train))
-    place = [None] * cfg.folds
-    batch_rows = []
-    for g, group in enumerate(groups):
-        rows = np.empty((cfg.epochs, len(group), n_train[group[0]]),
-                        dtype=np.intp)
-        for r, fold_i in enumerate(group):
-            place[fold_i] = (g, r)
-            rng = np.random.default_rng(
-                derive_seed(cfg.seed, "batches", fold_i))
-            for epoch in range(cfg.epochs):
-                rows[epoch, r] = rng.permutation(rows.shape[-1])
-            rows[:, r] += fold_i * n_max
-        batch_rows.append(rows)
-    init_rngs = []
-    for fold_i in range(cfg.folds):
+        y_train[fold_i, :n] = ds.y[train_idx]
+        X_test[fold_i, :t] = network.mask_input(
+            _apply_minmax(ds.X[test_idx], M_test, mn, mx), M_test)
+        y_test[fold_i, :t] = ds.y[test_idx]
+        rng = np.random.default_rng(derive_seed(cfg.seed, "batches", fold_i))
+        for epoch in range(cfg.epochs):
+            batch_rows[epoch, fold_i, :n] = fold_i * n_max + rng.permutation(n)
         rng = np.random.default_rng(derive_seed(cfg.seed, "init", fold_i))
         init_rngs.append((rng, rng.bit_generator.state))
     return FoldSplit(
         folds=cfg.folds, epochs=cfg.epochs, seed=cfg.seed,
         missing_rate=round(1.0 - float(np.mean(ds.M)), 6),
-        X_train=X_train, targets=network.one_hot(y_train),
-        n_train=n_train, groups=groups, place=tuple(place),
-        batch_rows=tuple(batch_rows),
-        test=tuple((np.stack([fold_tests[f][0] for f in group]),
-                    np.stack([fold_tests[f][1] for f in group]))
-                   for group in groups),
+        X_train=X_train, targets=network.one_hot(y_train), n_train=n_train,
+        batch_rows=batch_rows, X_test=X_test, y_test=y_test, n_test=n_test,
         init_rngs=tuple(init_rngs))
 
 
@@ -283,8 +268,9 @@ def evaluate(genome, ds, cfg, space=None):
     spec = decode(genome, space or SearchSpace())
     per_fold = [None] * cfg.folds
     for folds, stack, trained in _trained_stacks(spec, split, cfg):
-        g, r = split.place[folds[0]]
-        X_test, y_test = (a[r:r + len(folds)] for a in split.test[g])
+        n = split.n_test[folds.start]
+        X_test = split.X_test[folds.start:folds.stop, :n]
+        y_test = split.y_test[folds.start:folds.stop, :n]
         # a diverged row's weights may be non-finite; its scores are not
         # read, and zeros keep its predictions quiet
         stack.flat[~trained] = 0.0
@@ -353,17 +339,19 @@ def _trained_stacks(spec, split, cfg):
 
 
 def _stacks(split, n_params):
-    """Lists of fold indices to train together: folds of one of the
-    split's groups (training sets of one size), at most STACK_PARAMS
-    parameters per stack."""
+    """Ranges of consecutive folds to train together: folds with training
+    sets of one size, at most STACK_PARAMS parameters per stack."""
     per_stack = max(1, STACK_PARAMS // n_params)
-    return [folds[i:i + per_stack] for folds in split.groups
-            for i in range(0, len(folds), per_stack)]
+    ends = [*(np.flatnonzero(np.diff(split.n_train)) + 1).tolist(),
+            split.folds]
+    return [range(i, min(i + per_stack, end))
+            for start, end in zip([0, *ends], ends)
+            for i in range(start, end, per_stack)]
 
 
 def _train(stack, solver_spec, split, folds, cfg):
-    """Mini-batch training of a stack in place, row r on fold folds[r];
-    returns which rows trained without blowing up.
+    """Mini-batch training of a stack in place, row r on fold folds[r]
+    (folds is a range); returns which rows trained without blowing up.
 
     The folds of a stack have training sets of one size, so each
     mini-batch is one gradient call on the whole stack and one solver
@@ -376,9 +364,8 @@ def _train(stack, solver_spec, split, folds, cfg):
     (every solver rule is elementwise). The solver and the gradient
     buffer live only for the call, so one stack's training state is
     freed before the next stack's is made."""
-    g, r = split.place[folds[0]]
-    epoch_rows = split.batch_rows[g][:, r:r + len(folds)]
-    n = epoch_rows.shape[-1]
+    n = split.n_train[folds.start]
+    epoch_rows = split.batch_rows[:, folds.start:folds.stop, :n]
     batches = [slice(start, start + cfg.batch_size)
                for start in range(0, n, cfg.batch_size)]
     X_rows = split.X_train.reshape(-1, split.p)

@@ -64,10 +64,8 @@ _REGISTRY = {
 ALGORITHM_NAMES = tuple(_REGISTRY)
 
 
-def algorithm_constants(name=None):
+def algorithm_constants():
     """Constants echoed into run manifests for reproducibility."""
-    if name is not None:
-        return dict(_REGISTRY[canonical_name(name)][1])
     return {alg: dict(consts) for alg, (_, consts) in _REGISTRY.items()}
 
 

@@ -11,13 +11,6 @@ from collections import defaultdict
 import numpy as np
 
 
-def split_records(records):
-    """(clean, failed) record lists."""
-    clean = [r for r in records if not r.error]
-    failed = [r for r in records if r.error]
-    return clean, failed
-
-
 def group_scores(records):
     """{(algorithm, rate): {"accuracy": [...], "f_measure": [...]}}
     over repeats, error records excluded."""

@@ -143,6 +143,30 @@ def test_search_writes_run_json(tmp_path):
     assert record["n_evaluations"] == 16
 
 
+def test_search_mask_without_data_exits_2(tmp_path, capsys):
+    cfg = tiny_config(tmp_path)
+    mask = tmp_path / "mask.csv"
+    mask.write_text("1,1,1,1\n" * 30)
+    out = tmp_path / "run"
+    assert main(["search", "--algorithm", "de", "--config", str(cfg),
+                 "--mask", str(mask), "--out", str(out)]) == 2
+    assert "--mask" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_search_non_binary_mask_exits_2(tmp_path, capsys):
+    data_csv = tmp_path / "data.csv"
+    data_csv.write_text("f0,f1,label\n0,0,safe\n5,5,warning\n"
+                        "10,10,critical\n")
+    mask = tmp_path / "mask.csv"
+    mask.write_text("1,1\n0.5,1\n1,1\n")
+    out = tmp_path / "run"
+    assert main(["search", "--algorithm", "de", "--data", str(data_csv),
+                 "--mask", str(mask), "--out", str(out)]) == 2
+    assert "mask entries" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_benchmark_grid_and_exit_codes(tmp_path):
     cfg = tiny_config(tmp_path)
     out = tmp_path / "bench"
@@ -220,6 +244,11 @@ def test_max_layers_beyond_space_exits_2(tmp_path, capsys):
     {"missing_rates": [0.4, 0, 0.4]},
     {"flags": ["--jobs", "0"]},
     {"flags": ["--jobs", "-1"]},
+    {"dataset": {"type": "synthetic", "n": 60, "p": 4, "classes": 3,
+                 "separation": float("nan")}},
+    {"dataset": {"type": "synthetic", "n": 60, "p": 4, "classes": 3,
+                 "separation": float("inf")}},
+    {"dataset": {"type": "csv", "path": "non_finite.csv"}},
 ], ids=["population-3", "budget-below-population", "neuron-min-above-max",
         "fewer-rows-than-folds", "folds-string", "batch-size-0",
         "repeats-string", "missing-rates-scalar", "missing-rates-string",
@@ -230,10 +259,18 @@ def test_max_layers_beyond_space_exits_2(tmp_path, capsys):
         "master-seed-float", "max-layers-float", "neuron-max-float",
         "algorithms-empty", "missing-rates-empty", "algorithms-duplicate",
         "algorithms-duplicate-spelling", "missing-rates-duplicate",
-        "missing-rates-duplicate-int", "jobs-0", "jobs-negative"])
+        "missing-rates-duplicate-int", "jobs-0", "jobs-negative",
+        "separation-nan", "separation-inf", "csv-non-finite-feature"])
 def test_bad_config_exits_2_before_work(tmp_path, capsys, overrides):
     overrides = dict(overrides)
     flags = overrides.pop("flags", [])  # command-line flags, not config
+    # well-separated rows but for one nan and one inf cell
+    (tmp_path / "non_finite.csv").write_text(
+        "f0,f1,label\n" + "".join(
+            f"{v},{w},{label}\n" for label, v, w in (
+                ("safe", 0.0, 0.0), ("safe", "nan", 0.1),
+                ("warning", 5.0, 5.0), ("warning", 5.1, "inf"),
+                ("critical", 10.0, 10.0), ("critical", 10.1, 10.1))))
     cfg = tiny_config(tmp_path, **overrides)
     out = tmp_path / "b"
     code = main(["benchmark", "--config", str(cfg), "--out", str(out),

@@ -226,6 +226,24 @@ def test_masked_csv_round_trip(tmp_path):
     assert np.array_equal(back.y, mds.y)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_dataset_csv_rejects_non_finite_features(tmp_path, cell):
+    path = tmp_path / "ds.csv"
+    path.write_text(f"f0,f1,label\n1.0,2.0,safe\n0.5,{cell},warning\n")
+    with pytest.raises(RowParseError, match="line 3"):
+        read_dataset_csv(path)
+
+
+@pytest.mark.parametrize("entry", ["0.5", "2", "-1", "nan"])
+def test_masked_csv_rejects_non_binary_mask(tmp_path, entry):
+    ds = _blob_dataset(n=3, p=2)
+    data_path, mask_path = tmp_path / "ds.csv", tmp_path / "mask.csv"
+    write_dataset_csv(ds, data_path)
+    mask_path.write_text(f"1,0\n{entry},1\n1,1\n")
+    with pytest.raises(SchemaError, match="0 .* or 1"):
+        read_masked_csv(data_path, mask_path)
+
+
 def test_as_masked_all_ones():
     ds = _blob_dataset()
     mds = as_masked(ds)

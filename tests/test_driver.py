@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -174,6 +175,30 @@ def test_benchmark_pool_never_pickles_a_split(blob_data, monkeypatch):
     parallel = run_benchmark(blob_data, cfg, deterministic=True, jobs=2)
     assert [r.to_dict() for r in parallel] \
         == [r.to_dict() for r in sequential]
+
+
+@pytest.mark.parametrize("algorithms, started", [
+    (("DE", "PSO"), [2]),  # 2 cells at jobs=3: 2 workers
+    (("DE",), []),  # 1 cell: run in-process, no pool
+])
+def test_benchmark_pool_starts_a_worker_per_cell_at_most(
+        blob_data, monkeypatch, algorithms, started):
+    cfg = tiny_config(algorithms=algorithms, repeats=1,
+                      missing_rates=(0.0,))
+    workers = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            workers.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        Recording)
+    records = run_benchmark(blob_data, cfg, deterministic=True, jobs=3)
+    assert workers == started
+    assert [r.to_dict() for r in records] == [
+        r.to_dict() for r in run_benchmark(blob_data, cfg,
+                                           deterministic=True)]
 
 
 DEAD_WORKER = """

@@ -94,7 +94,8 @@ def _small_config_digest(tmp_path, monkeypatch, jobs):
     config.write_text(json.dumps(SMALL_CONFIG))
     cfg, dataset_spec = load_config(config)
     split = objective.split_folds(load_dataset(dataset_spec), cfg.eval)
-    assert sorted(len(group) for group in split.groups) == [3, 7]
+    # 403 rows over 10 folds: folds 0-2 test on 41 rows, folds 3-9 on 40
+    assert split.n_test.tolist() == [41] * 3 + [40] * 7
     assert np.all(split.n_train % cfg.eval.batch_size)
     smallest = (split.p + 1) * cfg.space.neuron_min \
         + (cfg.space.neuron_min + 1) * 3

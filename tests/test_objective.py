@@ -340,7 +340,9 @@ def test_stacked_training_matches_each_fold_alone(case, solver_id):
 def test_stacks_hold_folds_of_one_training_size(case):
     split, cfg = _stack_case(case)
     stacks = objective._stacks(split, n_params=1)
-    assert sorted(f for s in stacks for f in s) == list(range(cfg.folds))
+    # ranges of consecutive folds, in fold order, covering every fold
+    assert all(isinstance(s, range) and s.step == 1 for s in stacks)
+    assert [f for s in stacks for f in s] == list(range(cfg.folds))
     sizes = [set(split.n_train[s].tolist()) for s in stacks]
     assert all(len(size) == 1 for size in sizes)
     assert len(stacks) == len(set(split.n_train.tolist())) <= 2
@@ -381,17 +383,31 @@ def test_split_batch_orders_are_the_per_fold_permutations(case):
     # held the orders
     split, cfg = _stack_case(case, epochs=4)
     n_max = split.X_train.shape[1]
-    for g, group in enumerate(split.groups):
-        rows = split.batch_rows[g]
-        assert rows.shape == (cfg.epochs, len(group),
-                              split.n_train[group[0]])
-        for r, fold_i in enumerate(group):
-            assert split.place[fold_i] == (g, r)
-            rng = np.random.default_rng(
-                derive_seed(cfg.seed, "batches", fold_i))
-            for epoch in range(cfg.epochs):
-                assert np.array_equal(rows[epoch, r] - fold_i * n_max,
-                                      rng.permutation(rows.shape[-1]))
+    assert split.batch_rows.shape == (cfg.epochs, cfg.folds, n_max)
+    for fold_i, n in enumerate(split.n_train):
+        rng = np.random.default_rng(derive_seed(cfg.seed, "batches", fold_i))
+        for epoch in range(cfg.epochs):
+            assert np.array_equal(
+                split.batch_rows[epoch, fold_i, :n] - fold_i * n_max,
+                rng.permutation(n))
+
+
+@pytest.mark.parametrize("case", ["k3-ragged-last-batch",
+                                  "k10-unequal-batch-counts"])
+def test_split_padding_is_never_read(case):
+    split, cfg = _stack_case(case)
+    assert len(set(split.n_train)) == len(set(split.n_test)) == 2
+    genome = sane_genome(hidden=(6.0, 4.0))
+    untouched = evaluate(genome, split, cfg)
+    out_of_range = split.X_train.shape[0] * split.X_train.shape[1]
+    for fold_i in range(cfg.folds):
+        n, t = split.n_train[fold_i], split.n_test[fold_i]
+        split.X_train[fold_i, n:] = np.nan
+        split.targets[fold_i, n:] = np.nan
+        split.batch_rows[:, fold_i, n:] = out_of_range
+        split.X_test[fold_i, t:] = np.nan
+        split.y_test[fold_i, t:] = 7
+    assert evaluate(genome, split, cfg) == untouched
 
 
 def test_split_init_rngs_restart_from_each_folds_seed():
@@ -408,8 +424,9 @@ def test_stacked_predictions_equal_each_rows_predictions(case):
     split, cfg = _stack_case(case)
     for folds, stack, alive in objective._trained_stacks(_spec(1), split,
                                                          cfg):
-        g, r = split.place[folds[0]]
-        X_test = split.test[g][0][r:r + len(folds)]
+        n = split.n_test[folds.start]
+        assert np.all(split.n_test[folds] == n)
+        X_test = split.X_test[folds.start:folds.stop, :n]
         pred, scores = predict(stack, X_test), forward_batch(stack, X_test)
         assert pred.shape == X_test.shape[:2]
         for row in range(len(folds)):
