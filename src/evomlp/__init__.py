@@ -9,7 +9,7 @@ from .data import (LabeledDataset, MaskedDataset, compute_ecpm,
                    inject_missing, label_ecpm, synthesize)
 from .genome import Genome, HyperparamVector, NetworkSpec, SearchSpace
 from .objective import EvalConfig, EvalResult, evaluate
-from .pbmh import ALGORITHM_NAMES, OptimizerConfig, minimize, optimize_stage
+from .pbmh import ALGORITHM_NAMES, minimize, optimize_stage
 from .solvers import SOLVER_NAMES
 
 __version__ = "0.1.0"
@@ -23,7 +23,6 @@ __all__ = [
     "LabeledDataset",
     "MaskedDataset",
     "NetworkSpec",
-    "OptimizerConfig",
     "SOLVER_NAMES",
     "SearchSpace",
     "compute_ecpm",

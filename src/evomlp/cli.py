@@ -163,7 +163,8 @@ def cmd_search(args):
         else:
             ds = data.as_masked(data.read_dataset_csv(args.data))
     else:
-        ds = data.as_masked(load_dataset(dataset_spec))
+        ds = data.as_masked(load_dataset(
+            dataset_spec, base_dir=os.path.dirname(args.config or "") or "."))
     record = driver.layer_growth_search(
         algorithm, ds, cfg,
         seed=derive_seed(cfg.master_seed, "search", algorithm),
@@ -240,15 +241,20 @@ def cmd_stats(args):
     if len(algorithms) < 2:
         print("need results for at least 2 algorithms", file=sys.stderr)
         return EXIT_INPUT
-    rates = report.rates_in(clean)
-    os.makedirs(args.out, exist_ok=True)
-
     rows = report.summary_rows(clean)
+    mean_acc = {(r["algorithm"], r["missing_rate"]): r["accuracy_mean"]
+                for r in rows}
+    # the rates at which every algorithm has a clean record
+    rates = [rate for rate in report.rates_in(clean)
+             if all((alg, rate) in mean_acc for alg in algorithms)]
+    if not rates:
+        print("no missing rate has results for every algorithm",
+              file=sys.stderr)
+        return EXIT_INPUT
+    os.makedirs(args.out, exist_ok=True)
     report.write_summary_csv(os.path.join(args.out, "summary.csv"), rows)
 
     # Friedman: blocks = missing-rate conditions, cells = mean accuracy
-    mean_acc = {(r["algorithm"], r["missing_rate"]): r["accuracy_mean"]
-                for r in rows}
     matrix = [[mean_acc[(alg, rate)] for alg in algorithms]
               for rate in rates]
     fried = stats.friedman(matrix, alpha=args.alpha)

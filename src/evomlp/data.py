@@ -9,6 +9,7 @@ missingness is injected afterwards as an explicit binary mask.
 
 import csv
 import io
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -145,6 +146,9 @@ class DataSchema:
             value = features[name]
             if kind == "numeric":
                 out.append(float(value))
+                if not math.isfinite(out[-1]):
+                    raise ValueError(f"{name}: {value!r} is not a finite "
+                                     "number")
             elif "ordinal" in kind:
                 cats = kind["ordinal"]
                 if value not in cats:
@@ -332,13 +336,17 @@ def write_dataset_csv(ds, path):
 def read_dataset_csv(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if not header or header[-1] != "label":
-            raise SchemaError("expected a trailing 'label' column")
+            raise SchemaError("expected a header with a trailing 'label' "
+                              "column")
         names = header[:-1]
         X_rows, labels = [], []
         for lineno, rec in enumerate(reader, start=2):
             try:
+                if len(rec) != len(header):
+                    raise ValueError(f"{len(rec)} cells under a header of "
+                                     f"{len(header)}")
                 X_rows.append([float(v) for v in rec[:-1]])
                 if not np.all(np.isfinite(X_rows[-1])):
                     raise ValueError(f"feature values {rec[:-1]} are not "

@@ -18,10 +18,10 @@ import numpy as np
 from . import objective
 from .data import (MAX_MISSING_RATE, LabeledDataset, as_masked,
                    inject_missing, is_missing_rate)
-from .genome import SearchSpace, check_int_fields, decode, grow
+from .genome import Genome, SearchSpace, check_int_fields, decode, grow
 from .objective import EvalConfig, FoldSplit
-from .pbmh import (ALGORITHM_NAMES, ConfigError, OptimizerConfig,
-                   canonical_name, check_population, optimize_stage)
+from .pbmh import (ALGORITHM_NAMES, ConfigError, canonical_name,
+                   check_population, optimize_stage)
 from .seeding import derive_seed
 
 
@@ -117,28 +117,26 @@ def layer_growth_search(algorithm, ds, cfg, seed, deterministic=False):
     stage_traces = []
     for n_layers in range(1, cfg.space.max_layers + 1):
         warm = None if best is None else _grow_to(
-            best.best_genome, cfg.space, n_layers,
+            Genome.from_vector(best.x), cfg.space, n_layers,
             np.random.default_rng(derive_seed(seed, "grow", n_layers)))
         stage = optimize_stage(
-            OptimizerConfig(algorithm=algorithm,
-                            population_size=cfg.population_size,
-                            stage_budget=cfg.stage_budget,
-                            seed=derive_seed(seed, "stage", n_layers)),
-            cfg.space, n_layers,
+            algorithm, cfg.space, n_layers,
             lambda g: objective.evaluate(g, split, cfg.eval, cfg.space),
-            warm_start=warm)
-        stage_traces.append(list(stage.trace))
-        if best is None or stage.best_fitness < best.best_fitness:
+            cfg.population_size, cfg.stage_budget,
+            derive_seed(seed, "stage", n_layers), warm_start=warm)
+        stage_traces.append(stage.trace.tolist())
+        if best is None or stage.fitness < best.fitness:
             best = stage
 
-    spec = decode(best.best_genome, cfg.space)
+    genome = Genome.from_vector(best.x)
+    spec = decode(genome, cfg.space)
     return RunRecord(
         algorithm=algorithm,
         missing_rate=split.missing_rate,
         repeat=0,
-        fitness=best.best_fitness,
-        accuracy=best.best_value.accuracy,
-        f_measure=best.best_value.f_measure,
+        fitness=best.fitness,
+        accuracy=best.value.accuracy,
+        f_measure=best.value.f_measure,
         architecture={
             "hidden_layer_sizes": list(spec.hidden_layer_sizes),
             "solver_id": spec.solver_id,
@@ -146,7 +144,7 @@ def layer_growth_search(algorithm, ds, cfg, seed, deterministic=False):
             "learning_rate": spec.active_params["learning_rate"],
             "active_params": spec.active_params,
         },
-        genome=best.best_genome.to_dict(),
+        genome=genome.to_dict(),
         stage_traces=stage_traces,
         n_evaluations=sum(len(trace) for trace in stage_traces),
         seed=seed,

@@ -8,8 +8,8 @@ are real-valued so any continuous optimizer can move them; integer genes
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +77,7 @@ class SearchSpace:
                 np.array(hi + (float(self.neuron_max),) * n_layers))
 
 
-@dataclass(frozen=True)
-class HyperparamVector:
+class HyperparamVector(NamedTuple):
     """The fixed 8-gene segment, one field per HYPER_FIELDS entry in that
     order. `lam` carries the "lambda" gene (keyword clash) and
     `solver_gene` the real-valued solver selector."""
@@ -91,21 +90,6 @@ class HyperparamVector:
     lam: float
     momentum: float
     solver_gene: float
-
-    def as_dict(self):
-        return dict(zip(HYPER_FIELDS, self.values()))
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(*(d[name] for name in HYPER_FIELDS))
-
-    def values(self):
-        return _hyper_values(self)
-
-
-# not dataclasses.astuple, whose deep copy makes decode ~1.5x slower
-_hyper_values = operator.attrgetter(
-    *(f.name for f in fields(HyperparamVector)))
 
 
 @dataclass(frozen=True)
@@ -120,29 +104,19 @@ class Genome:
         return len(self.neurons)
 
     def to_vector(self):
-        return np.array(self.hyper.values() + self.neurons, dtype=float)
+        return np.array(self.hyper + self.neurons, dtype=float)
 
     @classmethod
     def from_vector(cls, vec):
-        vec = np.asarray(vec, dtype=float)
-        if vec.size < len(HYPER_FIELDS) + 1:
+        genes = np.asarray(vec, dtype=float).tolist()
+        if len(genes) < len(HYPER_FIELDS) + 1:
             raise ValueError("vector too short for a 1-layer genome")
-        hyper = HyperparamVector(
-            *(float(v) for v in vec[: len(HYPER_FIELDS)]))
-        return cls(hyper=hyper,
-                   neurons=tuple(float(v) for v in vec[len(HYPER_FIELDS):]))
+        return cls(hyper=HyperparamVector(*genes[:len(HYPER_FIELDS)]),
+                   neurons=tuple(genes[len(HYPER_FIELDS):]))
 
     def to_dict(self):
-        d = self.hyper.as_dict()
-        d["neurons"] = list(self.neurons)
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            hyper=HyperparamVector.from_dict(d),
-            neurons=tuple(d["neurons"]),
-        )
+        return dict(zip(HYPER_FIELDS, self.hyper),
+                    neurons=list(self.neurons))
 
 
 @dataclass(frozen=True)
@@ -179,8 +153,7 @@ def selective_exclusion(solver_id, hyper):
     """
     if solver_id not in _CONSUMED_AT:
         solvers.consumed_parameters(solver_id)  # raises for an unknown id
-    values = hyper.values()
-    return {name: values[i] for name, i in _CONSUMED_AT[solver_id]}
+    return {name: hyper[i] for name, i in _CONSUMED_AT[solver_id]}
 
 
 # per solver id: its consumed hyperparameters, sorted by name, with

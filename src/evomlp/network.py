@@ -85,14 +85,10 @@ class MaskedMLP:
     def input_dim(self):
         return self.weights[0].shape[-2]
 
-    @property
-    def n_outputs(self):
-        return self.weights[-1].shape[-1]
-
 
 def _layout(sizes):
     """(start, stop, shape) in `flat` of W1, b1, W2, b2, ... for a net
-    with layer widths sizes = [input_dim, hidden..., n_outputs]."""
+    with layer widths sizes = [input_dim, hidden..., N_OUTPUTS]."""
     layout, start = [], 0
     for fan_in, fan_out in zip(sizes, sizes[1:]):
         layout.append((start, start + fan_in * fan_out, (fan_in, fan_out)))
@@ -102,7 +98,7 @@ def _layout(sizes):
     return layout
 
 
-def init_stack(hidden_layer_sizes, input_dim, seeds, n_outputs=N_OUTPUTS):
+def init_stack(hidden_layer_sizes, input_dim, seeds):
     """A stack of len(seeds) nets, row i initialised from seeds[i] (a
     seed or a Generator): weights uniform in +-sqrt(6/fan_in), layer by
     layer from one stream per row, biases zero.
@@ -114,7 +110,7 @@ def init_stack(hidden_layer_sizes, input_dim, seeds, n_outputs=N_OUTPUTS):
     if input_dim < 1:
         raise ValueError("input_dim must be >= 1")
     sizes = [int(input_dim)] + [int(s) for s in hidden_layer_sizes] \
-        + [int(n_outputs)]
+        + [N_OUTPUTS]
     layout = _layout(sizes)
     stack = MaskedMLP(layout, np.zeros((len(seeds), layout[-1][1])))
     for row, seed in enumerate(seeds):
@@ -128,15 +124,15 @@ def init_stack(hidden_layer_sizes, input_dim, seeds, n_outputs=N_OUTPUTS):
     return stack
 
 
-def init_network(hidden_layer_sizes, input_dim, seed, n_outputs=N_OUTPUTS):
+def init_network(hidden_layer_sizes, input_dim, seed):
     """Seeded init: weights uniform in +-sqrt(6/fan_in), biases zero."""
-    return init_stack(hidden_layer_sizes, input_dim, [seed], n_outputs).row(0)
+    return init_stack(hidden_layer_sizes, input_dim, [seed]).row(0)
 
 
-def one_hot(y, n_outputs=N_OUTPUTS):
-    """Float one-hot rows of integer labels: shape y.shape + (n_outputs,)."""
+def one_hot(y):
+    """Float one-hot rows of integer labels: shape y.shape + (N_OUTPUTS,)."""
     return (np.asarray(y, dtype=int)[..., np.newaxis]
-            == np.arange(n_outputs)).astype(float)
+            == np.arange(N_OUTPUTS)).astype(float)
 
 
 def mask_input(x, m):
@@ -184,7 +180,7 @@ def forward_batch(net, X, M=None):
 
 
 def forward(net, x, m=None):
-    """Single-sample scores, length n_outputs, summing to 1."""
+    """Single-sample scores, length N_OUTPUTS, summing to 1."""
     return forward_batch(net, x, None if m is None else np.atleast_2d(m))[0]
 
 
@@ -218,7 +214,7 @@ def loss_and_gradients(net, X, M, y, out=None, targets=None,
     if n == 0:
         raise ValueError("empty batch")
     if targets is None:
-        targets = one_hot(y, net.n_outputs)
+        targets = one_hot(y)
     a = X if M is None else mask_input(X, np.atleast_2d(M))
 
     # forward, caching pre/post activations for the backward pass

@@ -9,15 +9,13 @@ accepts; the best candidate's own return is `OptResult.value`.
 """
 
 from contextlib import suppress
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..genome import Genome
 from .cmaes import CMAES_CONSTANTS, run_cmaes
 from .core import (Budget, BudgetSpent, ConfigError,
-                   NonFiniteObjectiveError, OptimizerConfig, OptResult,
-                   check_population)
+                   NonFiniteObjectiveError, OptResult, check_population)
 from .de import (DE_CONSTANTS, JADE_CONSTANTS, LSHADE_CONSTANTS,
                  SAPDE_CONSTANTS, SHADE_CONSTANTS, run_de, run_jade,
                  run_lshade, run_sapde, run_shade)
@@ -33,8 +31,6 @@ __all__ = [
     "ConfigError",
     "NonFiniteObjectiveError",
     "OptResult",
-    "OptimizerConfig",
-    "StageResult",
     "aiwf",
     "algorithm_constants",
     "canonical_name",
@@ -78,17 +74,6 @@ def canonical_name(name):
                       f"choose from {', '.join(ALGORITHM_NAMES)}")
 
 
-@dataclass(frozen=True)
-class StageResult:
-    """Best genome of one fixed-layer-count stage, the evaluator's return
-    for it, and the raw fitness trace (one entry per evaluation)."""
-
-    best_genome: Genome
-    best_fitness: float
-    best_value: object
-    trace: tuple
-
-
 def minimize(algorithm, fn, lower, upper, population_size, budget, seed,
              x0=None):
     """Run one algorithm on a bounded vector objective.
@@ -114,8 +99,10 @@ def minimize(algorithm, fn, lower, upper, population_size, budget, seed,
                      value=ledger.best_value, trace=np.array(ledger.trace))
 
 
-def optimize_stage(cfg, space, n_layers, evaluator, warm_start=None):
-    """Genome search at a fixed layer count.
+def optimize_stage(algorithm, space, n_layers, evaluator, population_size,
+                   budget, seed, warm_start=None):
+    """Genome search at a fixed layer count: `minimize` over the genome
+    box of space.vector_bounds(n_layers), returning its OptResult.
 
     evaluator maps a Genome to anything `float()` turns into its fitness;
     warm_start (same layer count) is one member of the first population.
@@ -124,17 +111,7 @@ def optimize_stage(cfg, space, n_layers, evaluator, warm_start=None):
         raise ConfigError(
             f"warm start has {warm_start.n_layers} layers, stage expects "
             f"{n_layers}")
-    lower, upper = space.vector_bounds(n_layers)
-    result = minimize(
-        cfg.algorithm,
-        lambda vec: evaluator(Genome.from_vector(vec)),
-        lower, upper,
-        population_size=cfg.population_size,
-        budget=cfg.stage_budget,
-        seed=cfg.seed,
-        x0=None if warm_start is None else warm_start.to_vector(),
-    )
-    return StageResult(best_genome=Genome.from_vector(result.x),
-                       best_fitness=result.fitness,
-                       best_value=result.value,
-                       trace=tuple(result.trace))
+    return minimize(
+        algorithm, lambda vec: evaluator(Genome.from_vector(vec)),
+        *space.vector_bounds(n_layers), population_size, budget, seed,
+        x0=None if warm_start is None else warm_start.to_vector())

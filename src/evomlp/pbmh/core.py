@@ -23,14 +23,6 @@ class NonFiniteObjectiveError(FloatingPointError):
 
 
 @dataclass(frozen=True)
-class OptimizerConfig:
-    algorithm: str
-    population_size: int
-    stage_budget: int
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class OptResult:
     """Outcome of one fixed-dimension stage on raw vectors."""
 

@@ -116,7 +116,7 @@ def _svg_escape(text):
             .replace(">", "&gt;"))
 
 
-def accuracy_bar_chart(records, width=640, height=360):
+def accuracy_bar_chart(records):
     """Static SVG: one bar per algorithm, height = mean accuracy over
     every clean record of that algorithm."""
     algs = algorithms_in(records)
@@ -126,7 +126,7 @@ def accuracy_bar_chart(records, width=640, height=360):
                 if r.algorithm == alg and not r.error]
         means.append(float(np.mean(accs)) if accs else 0.0)
 
-    margin = 50
+    width, height, margin = 640, 360, 50
     plot_w = width - 2 * margin
     plot_h = height - 2 * margin
     n = max(len(algs), 1)

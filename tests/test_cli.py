@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from evomlp.cli import load_config, main
-from evomlp.data import read_dataset_csv
+from evomlp.data import read_dataset_csv, synthesize, write_dataset_csv
 from evomlp.driver import SearchConfig, config_manifest
 
 RAW_TRACE = """timestamp,battery_state,battery_level,cpu,wifi
@@ -131,6 +131,47 @@ def test_inject_missing_outputs(tmp_path, trace_files):
     assert mask.shape == ds.X.shape
     assert int(mask.size - mask.sum()) == int(0.5 * mask.size)
     assert np.all(ds.X[mask == 0] == 0)
+
+
+@pytest.mark.parametrize("text", [
+    "", "a,b,label\n1.0,2.0,safe\n\n", "a,b,label\n1.0,safe\n"],
+    ids=["empty", "blank-line", "short-row"])
+def test_inject_missing_malformed_csv_exits_2(tmp_path, capsys, text):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    out = tmp_path / "masked"
+    assert main(["inject-missing", "--input", str(bad), "--rate", "0.5",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_prepare_non_finite_cell_exits_2(tmp_path, trace_files, capsys,
+                                         cell):
+    _, schema = trace_files
+    raw = tmp_path / "non_finite.csv"
+    raw.write_text(RAW_TRACE.replace("60,discharging,79,0.6",
+                                     f"60,discharging,79,{cell}"))
+    out = tmp_path / "prepared"
+    assert main(["prepare", "--input", str(raw), "--schema", str(schema),
+                 "--output", str(out)]) == 2
+    assert "line 3: cpu" in capsys.readouterr().err
+    assert not (out / "prepared.csv").exists()
+
+
+def test_search_reads_csv_beside_its_config(tmp_path, monkeypatch):
+    cfg_dir = tmp_path / "cfgdir"
+    cfg_dir.mkdir()
+    write_dataset_csv(synthesize(60, 4, 3, separation=3.0, seed=5),
+                      cfg_dir / "prep.csv")
+    cfg = tiny_config(cfg_dir, dataset={"type": "csv", "path": "prep.csv"})
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "run"
+    assert main(["search", "--algorithm", "de", "--config",
+                 str(cfg.relative_to(tmp_path)), "--out", str(out),
+                 "--deterministic"]) == 0
+    assert json.loads((out / "run.json").read_text())["n_evaluations"] == 16
 
 
 def test_search_writes_run_json(tmp_path):
@@ -362,6 +403,48 @@ def test_stats_single_algorithm_exits_2(bench_dir, tmp_path, capsys):
     only_de.write_text("".join(lines))
     assert main(["stats", "--results", str(only_de),
                  "--out", str(tmp_path / "s")]) == 2
+
+
+def _with_failed_cells(bench_dir, path, failed):
+    """The bench results with the (algorithm, rate) cells in `failed`
+    turned into error records."""
+    with open(bench_dir / "results.jsonl") as fh:
+        records = [json.loads(line) for line in fh]
+    for r in records:
+        if (r["algorithm"], r["missing_rate"]) in failed:
+            r.update(fitness=None, accuracy=None, f_measure=None,
+                     architecture={}, genome={}, stage_traces=[],
+                     n_evaluations=0, error="RuntimeError: failed")
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n"
+                            for r in records))
+    return path
+
+
+def test_stats_ranks_only_rates_every_algorithm_completed(bench_dir,
+                                                         tmp_path):
+    results = _with_failed_cells(bench_dir, tmp_path / "partial.jsonl",
+                                 {("PSO", 0.4)})
+    out = tmp_path / "s"
+    assert main(["stats", "--results", str(results), "--out", str(out)]) == 0
+    fried = json.loads((out / "friedman.json").read_text())
+    assert fried["blocks"] == [0.0]
+    assert fried["treatments"] == ["DE", "PSO", "CMA-ES"]
+    with open(out / "stability.csv") as fh:
+        assert len(list(csv.reader(fh))) == 1  # one rate: header only
+    with open(out / "summary.csv") as fh:
+        cells = [row[:2] for row in list(csv.reader(fh))[1:]]
+    assert len(cells) == 5 and ["0.4", "PSO"] not in cells
+
+
+def test_stats_without_a_complete_rate_exits_2(bench_dir, tmp_path,
+                                               capsys):
+    results = _with_failed_cells(bench_dir, tmp_path / "partial.jsonl",
+                                 {("PSO", 0.0), ("DE", 0.4)})
+    out = tmp_path / "s"
+    assert main(["stats", "--results", str(results), "--out", str(out)]) == 2
+    assert "no missing rate has results for every algorithm" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("alpha", ["5", "1", "0", "-1", "nan"])

@@ -234,6 +234,36 @@ def test_dataset_csv_rejects_non_finite_features(tmp_path, cell):
         read_dataset_csv(path)
 
 
+def test_dataset_csv_empty_file_has_no_header(tmp_path):
+    path = tmp_path / "ds.csv"
+    path.write_text("")
+    with pytest.raises(SchemaError, match="header"):
+        read_dataset_csv(path)
+
+
+def test_dataset_csv_rejects_blank_line(tmp_path):
+    path = tmp_path / "ds.csv"
+    path.write_text("a,b,label\n1.0,2.0,safe\n\n3.0,4.0,warning\n")
+    with pytest.raises(RowParseError, match="line 3: 0 cells"):
+        read_dataset_csv(path)
+
+
+@pytest.mark.parametrize("row", ["1.0,safe", "1.0,2.0,3.0,safe"])
+def test_dataset_csv_rejects_row_unlike_header(tmp_path, row):
+    path = tmp_path / "ds.csv"
+    path.write_text(f"a,b,label\n{row}\n")
+    with pytest.raises(RowParseError, match="line 2: .* header of 3"):
+        read_dataset_csv(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_ingest_rejects_non_finite_numeric_cell(cell):
+    with pytest.raises(RowParseError, match=f"line 3: cpu: '{cell}'"):
+        ingest(_trace([(0, "discharging", 80, 1.0, "on"),
+                       (60, "discharging", 79, cell, "on"),
+                       (120, "discharging", 78, 1.0, "on")]), SCHEMA)
+
+
 @pytest.mark.parametrize("entry", ["0.5", "2", "-1", "nan"])
 def test_masked_csv_rejects_non_binary_mask(tmp_path, entry):
     ds = _blob_dataset(n=3, p=2)

@@ -23,7 +23,7 @@ def test_random_genome_length_matches_request(space):
 def test_random_genome_respects_table_bounds(space):
     for seed in range(50):
         g = random_genome(space, 3, np.random.default_rng(seed))
-        for field, value in zip(HYPER_FIELDS, g.hyper.values()):
+        for field, value in zip(HYPER_FIELDS, g.hyper):
             lo, hi = HYPER_BOUNDS[field]
             assert lo <= value <= hi, field
         for gene in g.neurons:
@@ -51,8 +51,7 @@ def test_round_half_away_ties_away_from_zero():
 
 
 def test_decode_rounds_solver_gene(space):
-    hyper = mid_range_hyper()
-    hyper = type(hyper)(*hyper.values()[:-1], 3.4)
+    hyper = mid_range_hyper()._replace(solver_gene=3.4)
     spec = decode(Genome(hyper=hyper, neurons=(10.0,)), space)
     assert spec.solver_id == 3
 
@@ -157,12 +156,20 @@ def test_vector_round_trip(space):
     assert Genome.from_vector(g.to_vector()) == g
 
 
-def test_dict_serialization_round_trip(space):
+def test_hyper_segment_is_the_vector_head(space):
+    g = random_genome(space, 2, np.random.default_rng(12))
+    assert isinstance(mid_range_hyper(), tuple)
+    assert tuple(g.hyper) == tuple(g.to_vector()[:len(HYPER_FIELDS)])
+
+
+def test_dict_is_keyed_by_hyper_fields(space):
     g = random_genome(space, 2, np.random.default_rng(12))
     d = g.to_dict()
+    assert list(d) == [*HYPER_FIELDS, "neurons"]
     assert set(d) == {"learning_rate", "weight_decay", "rho", "beta1",
                       "beta2", "lambda", "momentum", "solver", "neurons"}
-    assert Genome.from_dict(d) == g
+    assert [d[name] for name in HYPER_FIELDS] == list(g.hyper)
+    assert d["neurons"] == list(g.neurons)
 
 
 def test_vector_bounds_dimension(space):

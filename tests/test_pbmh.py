@@ -4,7 +4,7 @@ import pytest
 from evomlp import pbmh
 from evomlp.genome import Genome, SearchSpace, random_genome
 from evomlp.pbmh import (ALGORITHM_NAMES, ConfigError,
-                         NonFiniteObjectiveError, OptimizerConfig,
+                         NonFiniteObjectiveError, OptResult,
                          algorithm_constants, minimize, optimize_stage)
 from evomlp.pbmh.core import tournament
 from evomlp.pbmh.de import lshade_population_size
@@ -240,13 +240,12 @@ def test_optimize_stage_genome_contract():
         seen.append(genome)
         return float(np.sum(np.array(genome.neurons) ** 2))
 
-    cfg = OptimizerConfig(algorithm="PSO", population_size=6,
-                          stage_budget=25, seed=2)
-    result = optimize_stage(cfg, space, 2, evaluator)
+    result = optimize_stage("PSO", space, 2, evaluator, 6, 25, 2)
+    assert isinstance(result, OptResult)
     assert len(seen) == 25
     assert all(isinstance(g, Genome) and g.n_layers == 2 for g in seen)
-    assert result.best_genome.n_layers == 2
-    assert result.best_fitness == min(result.trace)
+    assert Genome.from_vector(result.x).n_layers == 2
+    assert result.fitness == min(result.trace)
 
 
 def test_optimize_stage_keeps_evaluator_return_of_best():
@@ -265,26 +264,20 @@ def test_optimize_stage_keeps_evaluator_return_of_best():
         returned[genome.to_vector().tobytes()] = score
         return score
 
-    cfg = OptimizerConfig(algorithm="JADE", population_size=6,
-                          stage_budget=25, seed=4)
-    result = optimize_stage(cfg, space, 2, evaluator)
-    assert result.best_value \
-        is returned[result.best_genome.to_vector().tobytes()]
-    assert float(result.best_value) == result.best_fitness \
-        == min(result.trace)
+    result = optimize_stage("JADE", space, 2, evaluator, 6, 25, 4)
+    assert result.value \
+        is returned[Genome.from_vector(result.x).to_vector().tobytes()]
+    assert float(result.value) == result.fitness == min(result.trace)
 
 
 def test_optimize_stage_warm_start_layer_check():
     space = SearchSpace()
     warm = random_genome(space, 3, np.random.default_rng(0))
-    cfg = OptimizerConfig(algorithm="DE", population_size=6,
-                          stage_budget=12, seed=0)
     with pytest.raises(ConfigError):
-        optimize_stage(cfg, space, 2, lambda g: 0.0, warm_start=warm)
+        optimize_stage("DE", space, 2, lambda g: 0.0, 6, 12, 0,
+                       warm_start=warm)
 
 
 def test_optimize_stage_budget_below_population_rejected():
-    cfg = OptimizerConfig(algorithm="DE", population_size=10,
-                          stage_budget=5, seed=0)
     with pytest.raises(ConfigError):
-        optimize_stage(cfg, SearchSpace(), 1, lambda g: 0.0)
+        optimize_stage("DE", SearchSpace(), 1, lambda g: 0.0, 10, 5, 0)
