@@ -5,8 +5,8 @@ solvers, the 13 population-based optimizers, the cross-validated
 objective, the benchmark driver, and nonparametric statistics.
 """
 
-from .data import (LabeledDataset, MaskedDataset, compute_ecpm,
-                   inject_missing, label_ecpm, synthesize)
+from .data import (LabeledDataset, compute_ecpm, inject_missing, label_ecpm,
+                   synthesize)
 from .genome import Genome, HyperparamVector, NetworkSpec, SearchSpace
 from .objective import EvalConfig, EvalResult, evaluate
 from .pbmh import ALGORITHM_NAMES, minimize, optimize_stage
@@ -21,7 +21,6 @@ __all__ = [
     "Genome",
     "HyperparamVector",
     "LabeledDataset",
-    "MaskedDataset",
     "NetworkSpec",
     "SOLVER_NAMES",
     "SearchSpace",

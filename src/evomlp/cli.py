@@ -115,9 +115,9 @@ def load_dataset(spec, base_dir="."):
 def cmd_prepare(args):
     with open(args.schema) as fh:
         schema = data.DataSchema.from_dict(json.load(fh))
-    os.makedirs(args.output, exist_ok=True)
     with open(args.input, newline="") as fh:
         ds = data.ingest(fh, schema)
+    os.makedirs(args.output, exist_ok=True)
     out_csv = os.path.join(args.output, "prepared.csv")
     data.write_dataset_csv(ds, out_csv)
     histogram = {name: int(np.count_nonzero(ds.y == i))
@@ -138,10 +138,7 @@ def cmd_inject_missing(args):
     os.makedirs(args.out, exist_ok=True)
     masked_csv = os.path.join(args.out, "masked.csv")
     mask_csv = os.path.join(args.out, "mask.csv")
-    data.write_dataset_csv(
-        data.LabeledDataset(X=masked.X, y=masked.y,
-                            feature_names=masked.feature_names),
-        masked_csv)
+    data.write_dataset_csv(masked, masked_csv)
     data.write_mask_csv(masked, mask_csv)
     removed = int(masked.M.size - masked.M.sum())
     print(f"masked {removed} of {masked.M.size} entries "
@@ -157,14 +154,13 @@ def cmd_search(args):
     else:
         cfg, dataset_spec = driver.SearchConfig(), None
     algorithm = canonical_name(args.algorithm)
-    if args.data:
-        if args.mask:
-            ds = data.read_masked_csv(args.data, args.mask)
-        else:
-            ds = data.as_masked(data.read_dataset_csv(args.data))
+    if args.mask:
+        ds = data.read_masked_csv(args.data, args.mask)
+    elif args.data:
+        ds = data.read_dataset_csv(args.data)
     else:
-        ds = data.as_masked(load_dataset(
-            dataset_spec, base_dir=os.path.dirname(args.config or "") or "."))
+        ds = load_dataset(
+            dataset_spec, base_dir=os.path.dirname(args.config or "") or ".")
     record = driver.layer_growth_search(
         algorithm, ds, cfg,
         seed=derive_seed(cfg.master_seed, "search", algorithm),

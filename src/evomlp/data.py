@@ -3,15 +3,17 @@
 The pipeline turns a raw per-state telemetry CSV into a labeled feature
 matrix: charging states are dropped, consecutive discharging states are
 paired, each pair's battery drop per minute becomes its class label, and
-the features of the earlier state describe the instance. Controlled
-missingness is injected afterwards as an explicit binary mask.
+the features of the earlier state describe the instance. Every dataset
+carries a binary mask of its observed entries, all ones when the dataset
+is complete; controlled missingness is injected afterwards by zeroing
+entries of a complete dataset and of its mask.
 """
 
 import csv
 import io
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,31 +52,19 @@ class StateRow:
 
 @dataclass
 class LabeledDataset:
-    """Complete feature matrix plus integer labels (0=safe, 1=warning,
-    2=critical)."""
+    """Feature matrix, integer labels (0=safe, 1=warning, 2=critical) and
+    the mask M that says which entries were observed (1) versus missing
+    (0); missing entries of X are zero. M defaults to all ones, a
+    complete dataset."""
 
     X: np.ndarray
     y: np.ndarray
     feature_names: list
+    M: np.ndarray = None
 
-    @property
-    def n(self):
-        return self.X.shape[0]
-
-    @property
-    def p(self):
-        return self.X.shape[1]
-
-
-@dataclass
-class MaskedDataset:
-    """Feature matrix with masked entries zeroed and the mask that says
-    which entries were observed (1) versus missing (0)."""
-
-    X: np.ndarray
-    M: np.ndarray
-    y: np.ndarray
-    feature_names: list = field(default_factory=list)
+    def __post_init__(self):
+        if self.M is None:
+            self.M = np.ones_like(self.X)
 
     @property
     def n(self):
@@ -188,15 +178,27 @@ def label_ecpm(ecpm):
     return 1
 
 
+def _rows(reader, header):
+    """(line number, cells) of each row after the header; RowParseError
+    naming the line for a row, a blank one included, whose cell count
+    differs from the header's."""
+    for lineno, cells in enumerate(reader, start=2):
+        if len(cells) != len(header):
+            raise RowParseError(f"line {lineno}: {len(cells)} cells under a "
+                                f"header of {len(header)}")
+        yield lineno, cells
+
+
 def _parse_state_rows(stream, schema):
-    reader = csv.DictReader(stream)
-    header = reader.fieldnames or []
+    reader = csv.reader(stream)
+    header = next(reader, [])
     required = ["timestamp", "battery_state", "battery_level"]
     for col in required + list(schema.features):
         if col not in header:
             raise SchemaError(f"missing column {col!r}")
     rows = []
-    for lineno, rec in enumerate(reader, start=2):
+    for lineno, cells in _rows(reader, header):
+        rec = dict(zip(header, cells))
         try:
             state = rec["battery_state"].strip()
             if state not in (CHARGING, DISCHARGING):
@@ -204,8 +206,12 @@ def _parse_state_rows(stream, schema):
             level = float(rec["battery_level"])
             if not 0.0 <= level <= 100.0:
                 raise ValueError(f"battery_level {level} outside [0, 100]")
+            timestamp = float(rec["timestamp"])
+            if not math.isfinite(timestamp):
+                raise ValueError(f"timestamp {rec['timestamp']!r} is not a "
+                                 "finite number")
             rows.append(StateRow(
-                timestamp=float(rec["timestamp"]),
+                timestamp=timestamp,
                 battery_level=level,
                 battery_state=state,
                 features={name: rec[name] for name in schema.features},
@@ -253,13 +259,9 @@ def ingest(stream, schema):
         labels.append(label_ecpm(compute_ecpm(a, b)))
 
     names = schema.encoded_names()
-    if not X_rows:
-        return LabeledDataset(X=np.zeros((0, len(names))),
-                              y=np.zeros(0, dtype=int),
-                              feature_names=names)
-    return LabeledDataset(X=np.array(X_rows, dtype=float),
-                          y=np.array(labels, dtype=int),
-                          feature_names=names)
+    return LabeledDataset(
+        X=np.array(X_rows, dtype=float).reshape(len(X_rows), len(names)),
+        y=np.array(labels, dtype=int), feature_names=names)
 
 
 def is_missing_rate(rate):
@@ -269,15 +271,19 @@ def is_missing_rate(rate):
 
 
 def inject_missing(ds, rate, seed):
-    """Zero out exactly floor(rate * n * p) uniformly chosen entries.
+    """Zero out exactly floor(rate * n * p) uniformly chosen entries of a
+    complete dataset.
 
     The chosen positions get mask 0 and value 0; everything else is kept.
-    The same seed always removes the same positions.
+    The same seed always removes the same positions. A dataset with a
+    missing entry is a ValueError: its mask would be drawn over.
     """
     if not is_missing_rate(rate):
         raise ValueError(
             f"missing rate {rate!r} is not a number in "
             f"[0, {MAX_MISSING_RATE}]")
+    if not ds.M.all():
+        raise ValueError("the dataset already has missing entries")
     n, p = ds.X.shape
     total = n * p
     k = int(np.floor(rate * total))
@@ -287,14 +293,8 @@ def inject_missing(ds, rate, seed):
         hit = rng.choice(total, size=k, replace=False)
         mask[hit] = 0.0
     M = mask.reshape(n, p)
-    return MaskedDataset(X=ds.X * M, M=M, y=ds.y.copy(),
-                         feature_names=list(ds.feature_names))
-
-
-def as_masked(ds):
-    """Wrap a complete dataset with an all-ones mask."""
-    return MaskedDataset(X=ds.X.copy(), M=np.ones_like(ds.X), y=ds.y.copy(),
-                         feature_names=list(ds.feature_names))
+    return LabeledDataset(X=ds.X * M, y=ds.y.copy(),
+                          feature_names=list(ds.feature_names), M=M)
 
 
 def synthesize(n, p, n_classes, separation, seed):
@@ -342,11 +342,8 @@ def read_dataset_csv(path):
                               "column")
         names = header[:-1]
         X_rows, labels = [], []
-        for lineno, rec in enumerate(reader, start=2):
+        for lineno, rec in _rows(reader, header):
             try:
-                if len(rec) != len(header):
-                    raise ValueError(f"{len(rec)} cells under a header of "
-                                     f"{len(header)}")
                 X_rows.append([float(v) for v in rec[:-1]])
                 if not np.all(np.isfinite(X_rows[-1])):
                     raise ValueError(f"feature values {rec[:-1]} are not "
@@ -354,14 +351,13 @@ def read_dataset_csv(path):
                 labels.append(CLASS_NAMES.index(rec[-1]))
             except ValueError as exc:
                 raise RowParseError(f"line {lineno}: {exc}") from exc
-    X = np.array(X_rows, dtype=float) if X_rows \
-        else np.zeros((0, len(names)))
-    return LabeledDataset(X=X, y=np.array(labels, dtype=int),
-                          feature_names=names)
+    return LabeledDataset(
+        X=np.array(X_rows, dtype=float).reshape(len(X_rows), len(names)),
+        y=np.array(labels, dtype=int), feature_names=names)
 
 
-def write_mask_csv(mds, path):
-    np.savetxt(path, mds.M, fmt="%d", delimiter=",")
+def write_mask_csv(ds, path):
+    np.savetxt(path, ds.M, fmt="%d", delimiter=",")
 
 
 def read_masked_csv(dataset_path, mask_path):
@@ -372,5 +368,5 @@ def read_masked_csv(dataset_path, mask_path):
             f"mask shape {M.shape} does not match data {ds.X.shape}")
     if not np.all((M == 0) | (M == 1)):
         raise SchemaError("mask entries must be 0 (missing) or 1 (observed)")
-    return MaskedDataset(X=ds.X * M, M=M, y=ds.y,
-                         feature_names=ds.feature_names)
+    return LabeledDataset(X=ds.X * M, y=ds.y, feature_names=ds.feature_names,
+                          M=M)

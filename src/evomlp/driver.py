@@ -16,8 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import objective
-from .data import (MAX_MISSING_RATE, LabeledDataset, as_masked,
-                   inject_missing, is_missing_rate)
+from .data import MAX_MISSING_RATE, inject_missing, is_missing_rate
 from .genome import Genome, SearchSpace, check_int_fields, decode, grow
 from .objective import EvalConfig, FoldSplit
 from .pbmh import (ALGORITHM_NAMES, ConfigError, canonical_name,
@@ -188,7 +187,8 @@ def run_benchmark(ds, cfg, out_path=None, deterministic=False,
                   progress=None, jobs=1):
     """Full grid: every (missing rate, algorithm, repeat) cell.
 
-    Masks are drawn once per rate, so all algorithms and repeats face the
+    ds must be complete (a missing entry is a ConfigError). Masks are
+    drawn over it once per rate, so all algorithms and repeats face the
     same missingness, and each rate's fold split (objective.FoldSplit) is
     made once, before any cell runs. A failing cell becomes an error
     record and the benchmark keeps going. Records append to out_path
@@ -201,8 +201,8 @@ def run_benchmark(ds, cfg, out_path=None, deterministic=False,
     pool, and run_benchmark raises BrokenProcessPool instead of waiting
     for its cell.
     """
-    if not isinstance(ds, LabeledDataset):
-        raise TypeError("run_benchmark expects a complete LabeledDataset")
+    if not ds.M.all():
+        raise ConfigError("the dataset already has missing entries")
     if ds.n < cfg.eval.folds:
         # every cell would fail in its first evaluation
         raise ConfigError(
@@ -211,7 +211,7 @@ def run_benchmark(ds, cfg, out_path=None, deterministic=False,
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
 
     splits = [objective.split_folds(
-        as_masked(ds) if rate == 0 else inject_missing(
+        ds if rate == 0 else inject_missing(
             ds, rate, derive_seed(cfg.master_seed, "mask", rate)),
         cfg.eval) for rate in cfg.missing_rates]
     tasks = [(rate_i, algorithm, rep,

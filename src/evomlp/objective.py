@@ -7,12 +7,13 @@ in [0, 100] with accuracy = 100 - error on the same predictions.
 
 What an evaluation needs that does not depend on the genome is made
 once per dataset by `split_folds`, as a FoldSplit indexed by fold: each
-fold's min-max scaled and masked training and test rows, its one-hot
-training targets, its batch order for every epoch and its seeded
-initial-weight generator. `driver.run_benchmark` makes one split per
-missing rate before any grid cell runs, and `evaluate` takes it in place
-of the dataset. The batch orders take epochs x folds x training rows x 8
-bytes, 5.4 MB at the default EvalConfig on a 1 500-row dataset.
+fold's min-max scaled training and test rows, multiplied once by the
+mask the dataset carries, its one-hot training targets, its batch order
+for every epoch and its seeded initial-weight generator.
+`driver.run_benchmark` makes one split per missing rate before any grid
+cell runs, and `evaluate` takes it in place of the dataset. The batch
+orders take epochs x folds x training rows x 8 bytes, 5.4 MB at the
+default EvalConfig on a 1 500-row dataset.
 
 Within one evaluation the folds train as stacks of nets (see network):
 a stack is a range of consecutive folds whose training sets have one
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network
-from .data import LabeledDataset, MaskedDataset, as_masked
 from .genome import SearchSpace, check_int_fields, decode
 from .seeding import derive_seed
 from .solvers import NumericFaultError, SolverSpec, make_solver
@@ -207,11 +207,7 @@ class FoldSplit:
 
 
 def split_folds(ds, cfg):
-    """The FoldSplit of a LabeledDataset or MaskedDataset under cfg."""
-    if isinstance(ds, LabeledDataset):
-        ds = as_masked(ds)
-    if not isinstance(ds, MaskedDataset):
-        raise TypeError("expected a LabeledDataset or MaskedDataset")
+    """The FoldSplit of a LabeledDataset under cfg."""
     if ds.n < cfg.folds:
         raise ValueError(f"{ds.n} rows cannot fill {cfg.folds} folds")
     if ds.y.min() < 0 or ds.y.max() >= network.N_OUTPUTS:
@@ -233,11 +229,9 @@ def split_folds(ds, cfg):
         n, t = train_idx.size, test_idx.size
         M_train, M_test = ds.M[train_idx], ds.M[test_idx]
         mn, mx = _fit_minmax(ds.X[train_idx], M_train)
-        X_train[fold_i, :n] = network.mask_input(
-            _apply_minmax(ds.X[train_idx], M_train, mn, mx), M_train)
+        X_train[fold_i, :n] = _apply_minmax(ds.X[train_idx], M_train, mn, mx)
         y_train[fold_i, :n] = ds.y[train_idx]
-        X_test[fold_i, :t] = network.mask_input(
-            _apply_minmax(ds.X[test_idx], M_test, mn, mx), M_test)
+        X_test[fold_i, :t] = _apply_minmax(ds.X[test_idx], M_test, mn, mx)
         y_test[fold_i, :t] = ds.y[test_idx]
         rng = np.random.default_rng(derive_seed(cfg.seed, "batches", fold_i))
         for epoch in range(cfg.epochs):
@@ -255,9 +249,9 @@ def split_folds(ds, cfg):
 def evaluate(genome, ds, cfg, space=None):
     """Stratified k-fold score of one genome; deterministic per inputs.
 
-    ds is a LabeledDataset, a MaskedDataset or the FoldSplit of one made
-    with the same cfg. Returns an EvalResult whose fitness (mean fold
-    percent error) the optimizers minimize.
+    ds is a LabeledDataset or the FoldSplit of one made with the same
+    cfg. Returns an EvalResult whose fitness (mean fold percent error)
+    the optimizers minimize.
     """
     split = ds if isinstance(ds, FoldSplit) else split_folds(ds, cfg)
     made = (split.folds, split.epochs, split.seed)

@@ -146,6 +146,24 @@ def test_inject_missing_malformed_csv_exits_2(tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("row, message", [
+    ("60,discharging", "line 3: 2 cells under a header of 5"),
+    ("60,discharging,79,0.6,on,extra", "line 3: 6 cells under a header"),
+    ("inf,discharging,79,0.6,on", "line 3: timestamp 'inf' is not a finite"),
+    ("nan,discharging,79,0.6,on", "line 3: timestamp 'nan' is not a finite"),
+], ids=["short-row", "long-row", "inf-timestamp", "nan-timestamp"])
+def test_prepare_malformed_trace_row_exits_2(tmp_path, trace_files, capsys,
+                                             row, message):
+    _, schema = trace_files
+    raw = tmp_path / "malformed.csv"
+    raw.write_text(RAW_TRACE.replace("60,discharging,79,0.6,on", row))
+    out = tmp_path / "prepared"
+    assert main(["prepare", "--input", str(raw), "--schema", str(schema),
+                 "--output", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf"])
 def test_prepare_non_finite_cell_exits_2(tmp_path, trace_files, capsys,
                                          cell):

@@ -5,7 +5,7 @@ import pytest
 
 from evomlp.data import (CLASS_NAMES, DataSchema, DegenerateIntervalError,
                          FilteredStateError, LabeledDataset, RowParseError,
-                         SchemaError, StateRow, as_masked, compute_ecpm,
+                         SchemaError, StateRow, compute_ecpm,
                          ingest, inject_missing, label_ecpm,
                          read_dataset_csv, read_masked_csv, synthesize,
                          write_dataset_csv, write_mask_csv)
@@ -172,6 +172,14 @@ def test_inject_missing_seeded():
     assert np.array_equal(a.M, b.M)
 
 
+def test_inject_missing_rejects_masked_dataset():
+    # injecting again would draw a fresh mask over the first one and
+    # mark some of its zeroed entries as observed
+    mds = inject_missing(_blob_dataset(n=100), 0.2, seed=1)
+    with pytest.raises(ValueError, match="missing entries"):
+        inject_missing(mds, 0.2, seed=2)
+
+
 def test_inject_missing_rejects_bad_rate():
     ds = _blob_dataset()
     with pytest.raises(ValueError):
@@ -256,6 +264,27 @@ def test_dataset_csv_rejects_row_unlike_header(tmp_path, row):
         read_dataset_csv(path)
 
 
+@pytest.mark.parametrize("line", ["60,discharging", "60,discharging,79,1.0",
+                                  "60,discharging,79,1.0,on,extra", ""],
+                         ids=["two-cells", "four-cells", "six-cells",
+                              "blank"])
+def test_ingest_rejects_row_unlike_header(line):
+    stream = io.StringIO("timestamp,battery_state,battery_level,cpu,wifi\n"
+                         f"0,discharging,80,1.0,on\n{line}\n"
+                         "120,discharging,78,1.0,on\n")
+    with pytest.raises(RowParseError, match="line 3: .* header of 5"):
+        ingest(stream, SCHEMA)
+
+
+@pytest.mark.parametrize("stamp", ["inf", "-inf", "nan"])
+def test_ingest_rejects_non_finite_timestamp(stamp):
+    with pytest.raises(RowParseError,
+                       match=f"line 4: timestamp '{stamp}' is not a finite"):
+        ingest(_trace([(0, "discharging", 80, 1.0, "on"),
+                       (60, "discharging", 79, 1.0, "on"),
+                       (stamp, "discharging", 78, 1.0, "on")]), SCHEMA)
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_ingest_rejects_non_finite_numeric_cell(cell):
     with pytest.raises(RowParseError, match=f"line 3: cpu: '{cell}'"):
@@ -274,11 +303,10 @@ def test_masked_csv_rejects_non_binary_mask(tmp_path, entry):
         read_masked_csv(data_path, mask_path)
 
 
-def test_as_masked_all_ones():
+def test_complete_dataset_mask_is_all_ones():
     ds = _blob_dataset()
-    mds = as_masked(ds)
-    assert np.all(mds.M == 1)
-    assert np.array_equal(mds.X, ds.X)
+    assert ds.M.shape == ds.X.shape
+    assert np.all(ds.M == 1)
 
 
 def test_onehot_encoding():

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evomlp.data import as_masked, synthesize
+from evomlp.data import inject_missing, synthesize
 from evomlp.driver import (RunRecord, SearchConfig, config_manifest,
                            layer_growth_search, load_records, run_benchmark)
 from evomlp.genome import SearchSpace
@@ -60,7 +60,7 @@ def test_seed_derive_no_collisions_over_grid():
 
 def test_layer_growth_budget_ledger(blob_data):
     cfg = tiny_config()
-    record = layer_growth_search("DE", as_masked(blob_data), cfg, seed=1)
+    record = layer_growth_search("DE", blob_data, cfg, seed=1)
     assert record.n_evaluations == cfg.space.max_layers * cfg.stage_budget
     assert [len(t) for t in record.stage_traces] == [cfg.stage_budget] * 2
 
@@ -78,7 +78,7 @@ def test_layer_growth_default_ledger_is_240(blob_data, monkeypatch):
 
     monkeypatch.setattr(driver_mod.objective, "evaluate", fake_evaluate)
     cfg = SearchConfig()  # paper-scale defaults
-    record = layer_growth_search("GA", as_masked(blob_data), cfg, seed=0)
+    record = layer_growth_search("GA", blob_data, cfg, seed=0)
     assert record.n_evaluations == 8 * 30 == 240
     assert len(record.stage_traces) == 8
 
@@ -86,14 +86,14 @@ def test_layer_growth_default_ledger_is_240(blob_data, monkeypatch):
 def test_layer_growth_single_stage(blob_data):
     cfg = tiny_config(space=SearchSpace(neuron_min=1, neuron_max=8,
                                         max_layers=1))
-    record = layer_growth_search("DE", as_masked(blob_data), cfg, seed=1)
+    record = layer_growth_search("DE", blob_data, cfg, seed=1)
     assert record.n_evaluations == cfg.stage_budget
     assert len(record.stage_traces) == 1
 
 
 def test_layer_growth_best_is_global_min(blob_data):
     cfg = tiny_config()
-    record = layer_growth_search("PSO", as_masked(blob_data), cfg, seed=2)
+    record = layer_growth_search("PSO", blob_data, cfg, seed=2)
     flat = [f for trace in record.stage_traces for f in trace]
     assert record.fitness == min(flat)
     assert record.accuracy == pytest.approx(100.0 - record.fitness)
@@ -104,16 +104,14 @@ def test_layer_growth_best_is_global_min(blob_data):
 
 def test_layer_growth_deterministic(blob_data):
     cfg = tiny_config()
-    a = layer_growth_search("DE", as_masked(blob_data), cfg, seed=3,
-                            deterministic=True)
-    b = layer_growth_search("DE", as_masked(blob_data), cfg, seed=3,
-                            deterministic=True)
+    a = layer_growth_search("DE", blob_data, cfg, seed=3, deterministic=True)
+    b = layer_growth_search("DE", blob_data, cfg, seed=3, deterministic=True)
     assert a.to_dict() == b.to_dict()
 
 
 def test_run_record_round_trip(blob_data):
     cfg = tiny_config()
-    record = layer_growth_search("DE", as_masked(blob_data), cfg, seed=4)
+    record = layer_growth_search("DE", blob_data, cfg, seed=4)
     clone = RunRecord.from_dict(
         json.loads(json.dumps(record.to_dict(), sort_keys=True)))
     assert clone.to_dict() == record.to_dict()
@@ -150,8 +148,9 @@ def test_benchmark_failed_cell_recorded_and_skipped(blob_data):
 
 
 def test_benchmark_rejects_masked_dataset(blob_data):
-    with pytest.raises(TypeError):
-        run_benchmark(as_masked(blob_data), tiny_config())
+    masked = inject_missing(blob_data, 0.2, seed=0)
+    with pytest.raises(ValueError, match="missing entries"):
+        run_benchmark(masked, tiny_config())
 
 
 def test_benchmark_parallel_matches_sequential(blob_data):

@@ -12,7 +12,11 @@ two configs against digests kept in golden_digests.json:
   small nets whose folds all share one stack;
 - "pbmh": the traces and incumbents of `minimize` for all 13 optimizers
   on a 10-D Rastrigin, at budgets that end on and within a generation
-  (CMA-ES's truncated one included), each run cold and warm-started.
+  (CMA-ES's truncated one included), each run cold and warm-started;
+- "masked": the masked CLI path, `inject-missing --rate 0.2` on a fixed
+  dataset CSV and then `search --deterministic --data masked.csv --mask
+  mask.csv` on the small config; the digest covers `masked.csv`,
+  `mask.csv` and `run.json`.
 
 The digests depend on the floating-point library underneath, so the
 file records the NumPy version and BLAS they were taken with, and a
@@ -29,6 +33,7 @@ import pytest
 
 from evomlp import objective
 from evomlp.cli import load_config, load_dataset, main
+from evomlp.data import synthesize, write_dataset_csv
 from evomlp.pbmh import ALGORITHM_NAMES, minimize
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_digests.json")
@@ -133,3 +138,25 @@ def test_optimizers_match_golden():
                 digest.update(result.trace.tobytes())
                 digest.update(result.x.tobytes())
     _assert_golden("pbmh", digest.hexdigest())
+
+
+def test_masked_search_matches_golden(tmp_path):
+    dataset = tmp_path / "data.csv"
+    write_dataset_csv(synthesize(n=120, p=6, n_classes=3, separation=2.0,
+                                 seed=7), dataset)
+    masked = tmp_path / "masked"
+    assert main(["inject-missing", "--input", str(dataset), "--rate", "0.2",
+                 "--seed", "9", "--out", str(masked)]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        dict(SMALL_CONFIG, eval=dict(SMALL_CONFIG["eval"], folds=3))))
+    out = tmp_path / "search"
+    assert main(["search", "--algorithm", "DE", "--config", str(config),
+                 "--data", str(masked / "masked.csv"),
+                 "--mask", str(masked / "mask.csv"), "--out", str(out),
+                 "--deterministic"]) == 0
+    digest = hashlib.sha256()
+    for path in (masked / "masked.csv", masked / "mask.csv",
+                 out / "run.json"):
+        digest.update(path.read_bytes())
+    _assert_golden("masked", digest.hexdigest())

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from evomlp import objective
-from evomlp.data import as_masked, inject_missing, synthesize
+from evomlp.data import inject_missing, synthesize
 from evomlp.genome import (Genome, HyperparamVector, NetworkSpec,
                            selective_exclusion)
 from evomlp.network import (forward_batch, init_network, loss_and_gradients,
@@ -129,7 +131,7 @@ def _fast_cfg(seed=0):
 
 
 def test_evaluate_fitness_in_range(blob_data):
-    res = evaluate(sane_genome(), as_masked(blob_data), _fast_cfg())
+    res = evaluate(sane_genome(), blob_data, _fast_cfg())
     assert 0.0 <= res.fitness <= 100.0
     assert res.accuracy == pytest.approx(100.0 - res.fitness)
     assert 0.0 <= res.f_measure <= 100.0
@@ -157,13 +159,12 @@ def test_evaluate_all_ones_mask_equals_unmasked(blob_data):
 def test_evaluate_rejects_too_few_rows(blob_data):
     tiny = synthesize(4, 3, 3, 1.0, seed=0)
     with pytest.raises(ValueError):
-        evaluate(sane_genome(), as_masked(tiny), EvalConfig(folds=5))
+        evaluate(sane_genome(), tiny, EvalConfig(folds=5))
 
 
 @pytest.mark.parametrize("label", [-1, 3])
 def test_split_rejects_labels_outside_the_classes(blob_data, label):
-    bad = as_masked(blob_data)
-    bad.y = bad.y.copy()
+    bad = dataclasses.replace(blob_data, y=blob_data.y.copy())
     bad.y[7] = label
     with pytest.raises(ValueError, match="labels"):
         split_folds(bad, _fast_cfg())
@@ -202,7 +203,7 @@ def test_separable_blobs_reach_low_error():
     ds = synthesize(240, 8, 3, separation=5.0, seed=11)
     oracle = _softmax_regression_error(ds, folds=3, seed=0)
     assert oracle < 10.0  # the problem really is easy
-    res = evaluate(sane_genome(hidden=(16.0,)), as_masked(ds),
+    res = evaluate(sane_genome(hidden=(16.0,)), ds,
                    EvalConfig(folds=3, epochs=30, batch_size=16, seed=0))
     assert res.fitness < 10.0
 
@@ -215,7 +216,7 @@ def test_diverging_genome_scores_worst_not_raises(blob_data):
                                rho=1.0, beta1=1.0, beta2=1.0, lam=1.0,
                                momentum=1.0, solver_gene=8.0),
         neurons=(64.0,))
-    res = evaluate(bad, as_masked(blob_data), _fast_cfg())
+    res = evaluate(bad, blob_data, _fast_cfg())
     assert 0.0 <= res.fitness <= 100.0
 
 
