@@ -10,7 +10,6 @@ entries of a complete dataset and of its mask.
 """
 
 import csv
-import io
 import math
 import numbers
 from dataclasses import dataclass
@@ -222,15 +221,14 @@ def _parse_state_rows(stream, schema):
 
 
 def ingest(stream, schema):
-    """Build a LabeledDataset from a raw trace CSV.
+    """Build a LabeledDataset from a text stream of a raw trace CSV.
 
-    Pairing walks original-stream-consecutive rows: both must be
-    discharging, neither excluded by the charging-gap rule (a charging
-    state between two discharging ones knocks out itself and the next
-    row), the settings columns must match, and time must advance.
+    Pairing walks original-stream-consecutive rows: neither may be
+    excluded, which leaves two discharging rows (every charging row is
+    excluded, and by the charging-gap rule a charging state between two
+    discharging ones also knocks out the next row), the settings columns
+    must match, and time must advance.
     """
-    if isinstance(stream, (str, bytes)):
-        stream = io.StringIO(stream)
     rows = _parse_state_rows(stream, schema)
 
     excluded = [r.battery_state == CHARGING for r in rows]
@@ -244,8 +242,6 @@ def ingest(stream, schema):
     for j in range(len(rows) - 1):
         a, b = rows[j], rows[j + 1]
         if excluded[j] or excluded[j + 1]:
-            continue
-        if a.battery_state != DISCHARGING or b.battery_state != DISCHARGING:
             continue
         if b.timestamp <= a.timestamp:
             continue

@@ -59,6 +59,9 @@ class SearchConfig:
                 raise ConfigError(f"{key} must not be empty")
             if len(set(values)) < len(values):
                 raise ConfigError(f"{key} {list(values)} repeat an entry")
+        # 0 and 0.0 name one experiment: the cell seeds hash repr(rate)
+        object.__setattr__(self, "missing_rates",
+                           tuple(float(rate) for rate in self.missing_rates))
 
 
 def _known_or_given(algorithm):

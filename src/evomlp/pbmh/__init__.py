@@ -21,8 +21,7 @@ from .de import (DE_CONSTANTS, JADE_CONSTANTS, LSHADE_CONSTANTS,
                  run_lshade, run_sapde, run_shade)
 from .genetic import GA_CONSTANTS, MA_CONSTANTS, run_ga, run_ma
 from .swarm import (CLPSO_CONSTANTS, CPSO_CONSTANTS, HPSO_CONSTANTS,
-                    PPSO_CONSTANTS, PSO_CONSTANTS, aiwf, clpso_velocity,
-                    pso_velocity, ppso_velocity, run_clpso, run_cpso,
+                    PPSO_CONSTANTS, PSO_CONSTANTS, run_clpso, run_cpso,
                     run_hpso, run_ppso, run_pso)
 
 __all__ = [
@@ -31,14 +30,10 @@ __all__ = [
     "ConfigError",
     "NonFiniteObjectiveError",
     "OptResult",
-    "aiwf",
     "algorithm_constants",
     "canonical_name",
-    "clpso_velocity",
     "minimize",
     "optimize_stage",
-    "pso_velocity",
-    "ppso_velocity",
 ]
 
 _REGISTRY = {

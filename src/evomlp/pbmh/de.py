@@ -1,8 +1,19 @@
-"""Differential evolution and its self-adaptive descendants.
+"""Differential evolution and its self-adaptive descendants, on two
+generation loops.
 
-Plain DE and SAP-DE mutate with current-to-rand/1 under fixed F/CR;
-JADE, SHADE and LSHADE use their defining current-to-pbest/1 mutation
-with an external archive and per-member adapted F/CR.
+Both loops breed a whole generation from a snapshot of the last one and
+keep each trial that scores no worse than its target.
+
+- Plain DE and SAP-DE share the current-to-rand/1/bin loop under fixed
+  F and CR. SAP-DE also gives each member a population-size gene, bred
+  with the same F, and resizes the population to the genes' rounded
+  mean after each generation.
+- JADE, SHADE and LSHADE share the current-to-pbest/1/bin loop with an
+  external archive, drawing each member's CR (normal) and F (Cauchy)
+  around a memory of successful values. Only the memory differs: JADE
+  smooths one (muCR, muF) pair at rate c, SHADE keeps an H-slot success
+  history, and LSHADE is SHADE with the population shrinking linearly in
+  evaluations.
 """
 
 import numpy as np
@@ -31,71 +42,64 @@ SHADE_CONSTANTS = {"history_size": 50, "archive": True}
 LSHADE_CONSTANTS = dict(SHADE_CONSTANTS, min_pop=4)
 
 
-def _mutant_ctr1(X, i, rng, F):
-    """current-to-rand/1 with a common scale factor for both differences."""
-    r1, r2, r3 = distinct_indices(rng, X.shape[0], 3, {i})
-    return X[i] + F * (X[r1] - X[i]) + F * (X[r2] - X[r3])
-
-
-def run_de(budget, lo, hi, pop_size, rng, x0=None):
+def _current_to_rand(budget, lo, hi, pop_size, rng, x0, resize):
+    """current-to-rand/1/bin under fixed F and CR; with `resize`, each
+    member carries a population-size gene and the population is resized
+    after each generation (SAP-DE's ABS variant)."""
     F = DE_CONSTANTS["weighting_factor"]
     CR = DE_CONSTANTS["crossover_rate"]
     X, f = init_population(budget, lo, hi, pop_size, rng, x0)
+    if resize:
+        pi = np.round(pop_size + rng.standard_normal(pop_size))
     while not budget.exhausted:
         arr, farr = X.copy(), f.copy()  # breed from the old generation
-        for i in range(pop_size):
-            trial = np.clip(binomial_crossover(
-                arr[i], _mutant_ctr1(arr, i, rng, F), CR, rng), lo, hi)
+        for i in range(len(arr)):
+            r1, r2, r3 = distinct_indices(rng, len(arr), 3, {i})
+            donor = arr[i] + F * (arr[r1] - arr[i]) + F * (arr[r2] - arr[r3])
+            trial = np.clip(binomial_crossover(arr[i], donor, CR, rng), lo, hi)
             tf = budget.eval(trial)
             if tf <= farr[i]:
                 X[i], f[i] = trial, tf
+                if resize:  # pi[i] += ... would regroup the sum
+                    pi[i] = (pi[i] + F * (pi[r1] - pi[i])
+                             + F * (pi[r2] - pi[r3]))
+        if resize:
+            X, f, pi = _abs_resize(budget, lo, hi, pop_size, rng, X, f, pi)
+
+
+def _abs_resize(budget, lo, hi, pop_size, rng, X, f, pi):
+    """Resize to the rounded mean of the genes, within [min_pop,
+    max_pop_factor * pop_size]: keep the fittest, or add scored uniform
+    newcomers with fresh genes."""
+    target = int(np.clip(round(float(np.mean(pi))), SAPDE_CONSTANTS["min_pop"],
+                         SAPDE_CONSTANTS["max_pop_factor"] * pop_size))
+    if target < len(X):  # the argsort slice also reorders the members
+        keep = np.argsort(f)[:target]
+        return X[keep], f[keep], pi[keep]
+    while target > len(X):
+        newcomer = rng.uniform(lo, hi)
+        X = np.vstack([X, newcomer])
+        f = np.append(f, budget.eval(newcomer))
+        pi = np.append(pi, np.round(pop_size + rng.standard_normal()))
+    return X, f, pi
+
+
+def run_de(budget, lo, hi, pop_size, rng, x0=None):
+    _current_to_rand(budget, lo, hi, pop_size, rng, x0, resize=False)
 
 
 def run_sapde(budget, lo, hi, pop_size, rng, x0=None):
     """Self-adaptive population size (ABS): each member carries its own
     population-size gene; the next generation's size is the rounded mean
-    of the surviving genes."""
-    F = SAPDE_CONSTANTS["weighting_factor"]
-    CR = SAPDE_CONSTANTS["crossover_rate"]
-    np_min = SAPDE_CONSTANTS["min_pop"]
-    np_max = SAPDE_CONSTANTS["max_pop_factor"] * pop_size
-
-    X, f = init_population(budget, lo, hi, pop_size, rng, x0)
-    X = list(X)
-    f = list(f)
-    pi = [float(np.round(pop_size + rng.standard_normal()))
-          for _ in range(pop_size)]
-
-    while not budget.exhausted:
-        n = len(X)
-        arr = np.array(X)
-        farr = np.array(f)
-        for i in range(n):
-            r1, r2, r3 = distinct_indices(rng, n, 3, {i})
-            donor = arr[i] + F * (arr[r1] - arr[i]) + F * (arr[r2] - arr[r3])
-            trial = np.clip(binomial_crossover(arr[i], donor, CR, rng), lo, hi)
-            pi_trial = pi[i] + F * (pi[r1] - pi[i]) + F * (pi[r2] - pi[r3])
-            tf = budget.eval(trial)
-            if tf <= farr[i]:
-                X[i], f[i], pi[i] = trial, tf, pi_trial
-
-        target = int(np.clip(round(float(np.mean(pi))), np_min, np_max))
-        if target < len(X):
-            keep = np.argsort(f)[:target]
-            X = [X[k] for k in keep]
-            f = [f[k] for k in keep]
-            pi = [pi[k] for k in keep]
-        while target > len(X):
-            newcomer = rng.uniform(lo, hi)
-            X.append(newcomer)
-            f.append(budget.eval(newcomer))
-            pi.append(float(np.round(pop_size + rng.standard_normal())))
+    of the genes."""
+    _current_to_rand(budget, lo, hi, pop_size, rng, x0, resize=True)
 
 
-def lshade_population_size(pop_init, used, budget, min_pop=4):
-    """Linear-in-evaluations reduction from pop_init down to min_pop."""
-    target = round(pop_init - (pop_init - min_pop) * used / budget)
-    return max(min_pop, int(target))
+def lshade_population_size(pop_init, used, budget):
+    """Linear-in-evaluations reduction from pop_init down to LSHADE's
+    min_pop."""
+    min_pop = LSHADE_CONSTANTS["min_pop"]
+    return max(min_pop, round(pop_init - (pop_init - min_pop) * used / budget))
 
 
 def _cauchy_factor(rng, loc, scale):
@@ -107,6 +111,52 @@ def _cauchy_factor(rng, loc, scale):
             return 1.0
         if value > 0:
             return float(value)
+
+
+def _draw_cr_f(rng, mu_cr, mu_f):
+    """A member's CR, normal around mu_cr and clipped to [0, 1], then its
+    F, Cauchy around mu_f."""
+    cr = float(np.clip(rng.normal(mu_cr, JADE_CONSTANTS["cr_sigma"]), 0, 1))
+    return cr, _cauchy_factor(rng, mu_f, JADE_CONSTANTS["f_scale"])
+
+
+class _JadeMemory:
+    """One (muCR, muF) pair, moved at rate c toward the mean of each
+    generation's successful CRs and the Lehmer mean of their Fs."""
+
+    def __init__(self):
+        self.mu_cr = self.mu_f = 0.5
+
+    def draw(self, rng, n):
+        return (*_draw_cr_f(rng, self.mu_cr, self.mu_f),
+                JADE_CONSTANTS["p_best_fraction"])
+
+    def update(self, s_cr, s_f, gains):
+        c = JADE_CONSTANTS["adaptation_rate"]
+        self.mu_cr = (1 - c) * self.mu_cr + c * float(np.mean(s_cr))
+        self.mu_f = (1 - c) * self.mu_f + c * float(s_f.dot(s_f) / s_f.sum())
+
+
+class _ShadeMemory:
+    """H slots of (muCR, muF): a member draws around a random slot, with a
+    p-best fraction uniform in [min(2/n, 0.2), 0.2]; each generation's
+    successes, weighted by their fitness gains, fill the next slot."""
+
+    def __init__(self):
+        self.mu_cr = np.full(SHADE_CONSTANTS["history_size"], 0.5)
+        self.mu_f = self.mu_cr.copy()
+        self.pos = 0
+
+    def draw(self, rng, n):
+        slot = int(rng.integers(0, self.mu_cr.size))
+        cr, f = _draw_cr_f(rng, self.mu_cr[slot], self.mu_f[slot])
+        return cr, f, rng.uniform(min(2.0 / n, 0.2), 0.2)
+
+    def update(self, s_cr, s_f, gains):
+        w = gains / gains.sum()
+        self.mu_cr[self.pos] = float(w.dot(s_cr))
+        self.mu_f[self.pos] = float(w.dot(s_f * s_f) / w.dot(s_f))
+        self.pos = (self.pos + 1) % self.mu_cr.size
 
 
 def _pbest_index(f, p_frac, rng):
@@ -128,101 +178,59 @@ def _ctpb1(X, archive, i, pbest, F, rng):
     return X[i] + F * (X[pbest] - X[i]) + F * (X[r1] - partner)
 
 
-def _push_archive(archive, member, cap, rng):
-    archive.append(member.copy())
+def _trim_archive(archive, cap, rng):
     while len(archive) > cap:
         archive.pop(int(rng.integers(0, len(archive))))
 
 
-def run_jade(budget, lo, hi, pop_size, rng, x0=None):
-    c = JADE_CONSTANTS["adaptation_rate"]
-    p_frac = JADE_CONSTANTS["p_best_fraction"]
-    mu_cr, mu_f = 0.5, 0.5
+def _current_to_pbest(budget, lo, hi, pop_size, rng, x0, memory,
+                      shrink=False):
+    """current-to-pbest/1/bin with an archive of replaced targets;
+    `memory` draws each member's CR, F and p-best fraction and learns
+    from the successful ones; with `shrink`, the population shrinks
+    linearly in evaluations (LSHADE)."""
     archive = []
-
     X, f = init_population(budget, lo, hi, pop_size, rng, x0)
-    while not budget.exhausted:
-        arr, farr = X.copy(), f.copy()
-        s_cr, s_f = [], []
-        for i in range(pop_size):
-            cr_i = float(np.clip(
-                rng.normal(mu_cr, JADE_CONSTANTS["cr_sigma"]), 0, 1))
-            f_i = _cauchy_factor(rng, mu_f, JADE_CONSTANTS["f_scale"])
-            pbest = _pbest_index(farr, p_frac, rng)
-            donor = _ctpb1(arr, archive, i, pbest, f_i, rng)
-            trial = np.clip(binomial_crossover(arr[i], donor, cr_i, rng),
-                         lo, hi)
-            tf = budget.eval(trial)
-            if tf <= farr[i]:
-                if tf < farr[i]:
-                    _push_archive(archive, arr[i], pop_size, rng)
-                    s_cr.append(cr_i)
-                    s_f.append(f_i)
-                X[i], f[i] = trial, tf
-        if s_f:
-            mu_cr = (1 - c) * mu_cr + c * float(np.mean(s_cr))
-            s_f = np.array(s_f)
-            mu_f = (1 - c) * mu_f + c * float(s_f.dot(s_f) / s_f.sum())
-
-
-def _shade_loop(budget, lo, hi, pop_size, rng, x0, shrink):
-    H = SHADE_CONSTANTS["history_size"]
-    mem_cr = np.full(H, 0.5)
-    mem_f = np.full(H, 0.5)
-    mem_pos = 0
-    archive = []
-
-    X, f = init_population(budget, lo, hi, pop_size, rng, x0)
-    X = list(X)
-    f = list(f)
     while not budget.exhausted:
         n = len(X)
-        arr = np.array(X)
-        farr = np.array(f)
-        s_cr, s_f, deltas = [], [], []
+        arr, farr = X.copy(), f.copy()  # breed from the old generation
+        s_cr, s_f, gains = [], [], []
         for i in range(n):
-            slot = int(rng.integers(0, H))
-            cr_i = float(np.clip(rng.normal(mem_cr[slot], 0.1), 0, 1))
-            f_i = _cauchy_factor(rng, mem_f[slot], 0.1)
-            p_i = rng.uniform(min(2.0 / n, 0.2), 0.2)
+            cr_i, f_i, p_i = memory.draw(rng, n)
             pbest = _pbest_index(farr, p_i, rng)
             donor = _ctpb1(arr, archive, i, pbest, f_i, rng)
             trial = np.clip(binomial_crossover(arr[i], donor, cr_i, rng),
-                         lo, hi)
+                            lo, hi)
             tf = budget.eval(trial)
             if tf <= farr[i]:
                 if tf < farr[i]:
-                    _push_archive(archive, arr[i], n, rng)
+                    archive.append(arr[i].copy())
+                    _trim_archive(archive, n, rng)
                     s_cr.append(cr_i)
                     s_f.append(f_i)
-                    deltas.append(farr[i] - tf)
+                    gains.append(farr[i] - tf)
                 X[i], f[i] = trial, tf
         if s_f:
-            w = np.array(deltas)
-            w = w / w.sum()
-            s_cr = np.array(s_cr)
-            s_f = np.array(s_f)
-            mem_cr[mem_pos] = float(w.dot(s_cr))
-            mem_f[mem_pos] = float(w.dot(s_f * s_f) / w.dot(s_f))
-            mem_pos = (mem_pos + 1) % H
-
+            memory.update(np.array(s_cr), np.array(s_f), np.array(gains))
         if shrink:
-            target = lshade_population_size(
-                pop_size, budget.used, budget.limit,
-                LSHADE_CONSTANTS["min_pop"])
-            if target < len(X):
+            target = lshade_population_size(pop_size, budget.used,
+                                            budget.limit)
+            if target < n:
                 keep = np.argsort(f)[:target]
-                X = [X[k] for k in keep]
-                f = [f[k] for k in keep]
-                while len(archive) > target:
-                    archive.pop(int(rng.integers(0, len(archive))))
+                X, f = X[keep], f[keep]
+                _trim_archive(archive, target, rng)
+
+
+def run_jade(budget, lo, hi, pop_size, rng, x0=None):
+    _current_to_pbest(budget, lo, hi, pop_size, rng, x0, _JadeMemory())
 
 
 def run_shade(budget, lo, hi, pop_size, rng, x0=None):
-    _shade_loop(budget, lo, hi, pop_size, rng, x0, shrink=False)
+    _current_to_pbest(budget, lo, hi, pop_size, rng, x0, _ShadeMemory())
 
 
 def run_lshade(budget, lo, hi, pop_size, rng, x0=None):
     """SHADE with the population shrinking linearly in evaluations, down
-    to 4 members at budget exhaustion."""
-    _shade_loop(budget, lo, hi, pop_size, rng, x0, shrink=True)
+    to LSHADE's min_pop members at budget exhaustion."""
+    _current_to_pbest(budget, lo, hi, pop_size, rng, x0, _ShadeMemory(),
+                      shrink=True)

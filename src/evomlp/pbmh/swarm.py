@@ -191,10 +191,7 @@ def run_cpso(budget, lo, hi, pop_size, rng, x0=None):
 def _clpso_pc(pop_size):
     """Exponential learning-probability profile between 0.05 and 0.5."""
     i = np.arange(pop_size)
-    if pop_size == 1:
-        ramp = np.zeros(1)
-    else:
-        ramp = (np.exp(10 * i / (pop_size - 1)) - 1) / (np.exp(10) - 1)
+    ramp = (np.exp(10 * i / (pop_size - 1)) - 1) / (np.exp(10) - 1)
     low, high = CLPSO_CONSTANTS["pc_low"], CLPSO_CONSTANTS["pc_high"]
     return low + (high - low) * ramp
 

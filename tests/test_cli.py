@@ -226,6 +226,21 @@ def test_search_non_binary_mask_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_integer_missing_rate_runs_the_float_experiment(tmp_path):
+    # the cell seeds hash the rate's repr, so 0 must become 0.0 first
+    results = []
+    for rates in ([0, 0.4], [0.0, 0.4]):
+        run_dir = tmp_path / repr(rates)
+        run_dir.mkdir()
+        cfg = tiny_config(run_dir, algorithms=["DE"], max_layers=1,
+                          repeats=1, missing_rates=rates)
+        out = run_dir / "bench"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out),
+                     "--deterministic", "--quiet"]) == 0
+        results.append((out / "results.jsonl").read_bytes())
+    assert results[0] == results[1]
+
+
 def test_benchmark_grid_and_exit_codes(tmp_path):
     cfg = tiny_config(tmp_path)
     out = tmp_path / "bench"

@@ -10,6 +10,9 @@ two configs against digests kept in golden_digests.json:
   stacks; run once in-process and once with two worker processes;
 - "desk": the acceptance tests' desk run (the `desk_run` fixture), on
   small nets whose folds all share one stack;
+- "desk_outputs": the rest of that run's deterministic output, its
+  `manifest.json` (which echoes every algorithm's constants) and every
+  file of its `stats/` and `report/` directories, in sorted order;
 - "pbmh": the traces and incumbents of `minimize` for all 13 optimizers
   on a 10-D Rastrigin, at budgets that end on and within a generation
   (CMA-ES's truncated one included), each run cold and warm-started;
@@ -125,6 +128,18 @@ def test_small_config_matches_golden_with_two_jobs(tmp_path, monkeypatch):
 
 def test_desk_run_matches_golden(desk_run):
     _assert_golden("desk", _file_digest(desk_run["bench"] / "results.jsonl"))
+
+
+def test_desk_outputs_match_golden(desk_run):
+    digest = hashlib.sha256()
+    digest.update((desk_run["bench"] / "manifest.json").read_bytes())
+    for directory in (desk_run["stats"], desk_run["report"]):
+        for path in sorted(directory.rglob("*")):
+            if path.is_file():
+                digest.update(path.relative_to(directory).as_posix()
+                              .encode())
+                digest.update(path.read_bytes())
+    _assert_golden("desk_outputs", digest.hexdigest())
 
 
 def test_optimizers_match_golden():
