@@ -1,25 +1,21 @@
 """A small end-to-end benchmark with statistical comparison.
 
-Three algorithms, two missing-value rates, two repeats each; then the
-nonparametric toolkit: Friedman average ranks over the rate conditions,
-pairwise Wilcoxon verdicts with win/tie/loss counts, and the stability
-score (std of mean accuracy across rates; lower = more resilient).
+Three algorithms, two missing-value rates, two repeats each; then
+`report.compare`, the comparison `evomlp stats` writes: Friedman
+average ranks over the rate conditions, pairwise Wilcoxon verdicts with
+win/tie/loss counts, and the stability score (std of mean accuracy
+across rates; lower = more resilient).
 
 Writes CSV/JSON/SVG outputs into demo_output/ and takes a few seconds.
 """
 
-import json
 import pathlib
-
-import numpy as np
 
 from evomlp.data import synthesize
 from evomlp.driver import SearchConfig, run_benchmark
 from evomlp.genome import SearchSpace
 from evomlp.objective import EvalConfig
-from evomlp.report import accuracy_bar_chart, summary_rows
-from evomlp.stats import (friedman, pairwise_verdicts, stability,
-                          win_tie_loss)
+from evomlp.report import accuracy_bar_chart, compare, write_json
 
 out = pathlib.Path("demo_output")
 out.mkdir(exist_ok=True)
@@ -37,36 +33,22 @@ records = run_benchmark(ds, cfg, out_path=str(out / "results.jsonl"),
                         deterministic=True)
 print(f"benchmark: {len(records)} runs")
 
-rows = summary_rows(records)
-for row in rows:
+comparison = compare(records, alpha=0.05)
+for row in comparison.summary:
     print(f"  rate={row['missing_rate']:.1f} {row['algorithm']:8s} "
           f"accuracy {row['accuracy_mean']:6.2f} +- "
           f"{row['accuracy_std']:.2f}")
 
-algorithms = list(cfg.algorithms)
-mean_acc = {(r["algorithm"], r["missing_rate"]): r["accuracy_mean"]
-            for r in rows}
-matrix = [[mean_acc[(a, rate)] for a in algorithms]
-          for rate in cfg.missing_rates]
-
-fried = friedman(matrix)
+fried = comparison.friedman
 print(f"\nFriedman: chi2={fried['chi2']:.3f} p={fried['p_value']:.3f} "
-      f"ranks={dict(zip(algorithms, fried['average_ranks']))}")
-
-vectors = []
-for alg in algorithms:
-    vec = [r.accuracy for r in sorted(
-        (r for r in records if r.algorithm == alg),
-        key=lambda r: (r.missing_rate, r.repeat))]
-    vectors.append(np.array(vec))
-verdicts = pairwise_verdicts(vectors, alpha=0.05)
-for alg, (w, t, l) in zip(algorithms, win_tie_loss(verdicts)):
-    stab = stability([mean_acc[(alg, rate)]
-                      for rate in cfg.missing_rates])
+      f"ranks={dict(zip(comparison.algorithms, fried['average_ranks']))}")
+for alg, (w, t, l), stab in zip(comparison.algorithms,
+                                comparison.wins_ties_losses,
+                                comparison.stability):
     print(f"  {alg:8s} wins/ties/losses = {w}/{t}/{l}   "
           f"stability std = {stab:.2f}")
 
-(out / "friedman.json").write_text(json.dumps(fried, indent=2) + "\n")
+write_json(out / "friedman.json", fried)
 (out / "accuracy_by_algorithm.svg").write_text(
     accuracy_bar_chart(records) + "\n")
 print(f"\nwrote {out}/results.jsonl, friedman.json, "

@@ -15,7 +15,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import data, driver, report, stats
+from . import data, driver, report
 from .genome import SearchSpace
 from .objective import EvalConfig
 from .pbmh import ConfigError, canonical_name
@@ -122,9 +122,8 @@ def cmd_prepare(args):
     data.write_dataset_csv(ds, out_csv)
     histogram = {name: int(np.count_nonzero(ds.y == i))
                  for i, name in enumerate(data.CLASS_NAMES)}
-    with open(os.path.join(args.output, "label_histogram.json"), "w") as fh:
-        json.dump(histogram, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    report.write_json(os.path.join(args.output, "label_histogram.json"),
+                      histogram)
     if ds.n == 0:
         print("warning: no labeled pairs survived preprocessing",
               file=sys.stderr)
@@ -167,9 +166,7 @@ def cmd_search(args):
         deterministic=args.deterministic)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "run.json")
-    with open(out_path, "w") as fh:
-        json.dump(record.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    report.write_json(out_path, record.to_dict())
     print(f"{algorithm}: fitness={record.fitness:.2f} "
           f"accuracy={record.accuracy:.2f} "
           f"architecture={record.architecture['hidden_layer_sizes']} "
@@ -204,78 +201,22 @@ def cmd_benchmark(args):
     manifest["dataset"] = dataset_spec
     manifest["records"] = len(records)
     manifest["failures"] = failures
-    with open(os.path.join(args.out, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    report.write_json(os.path.join(args.out, "manifest.json"), manifest)
     print(f"{len(records)} records -> {results_path} "
           f"({len(failures)} failures)")
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
-def _paired_scores(records, algorithms):
-    """Per-algorithm accuracy vectors paired over the (rate, repeat)
-    cells that every algorithm completed."""
-    table = {}
-    for r in records:
-        if not r.error:
-            table[(r.algorithm, r.missing_rate, r.repeat)] = r.accuracy
-    keys = None
-    for alg in algorithms:
-        cells = {(rate, rep) for (a, rate, rep) in table if a == alg}
-        keys = cells if keys is None else keys & cells
-    keys = sorted(keys or [])
-    return [np.array([table[(alg, rate, rep)] for rate, rep in keys])
-            for alg in algorithms]
-
-
 def cmd_stats(args):
     if not 0 < args.alpha < 1:  # false for NaN too
         raise ConfigError(f"alpha must be in (0, 1), got {args.alpha}")
-    records = driver.load_records(args.results)
-    clean = [r for r in records if not r.error]
-    algorithms = report.algorithms_in(clean)
-    if len(algorithms) < 2:
-        print("need results for at least 2 algorithms", file=sys.stderr)
-        return EXIT_INPUT
-    rows = report.summary_rows(clean)
-    mean_acc = {(r["algorithm"], r["missing_rate"]): r["accuracy_mean"]
-                for r in rows}
-    # the rates at which every algorithm has a clean record
-    rates = [rate for rate in report.rates_in(clean)
-             if all((alg, rate) in mean_acc for alg in algorithms)]
-    if not rates:
-        print("no missing rate has results for every algorithm",
-              file=sys.stderr)
-        return EXIT_INPUT
+    comparison = report.compare(driver.load_records(args.results),
+                                args.alpha)
     os.makedirs(args.out, exist_ok=True)
-    report.write_summary_csv(os.path.join(args.out, "summary.csv"), rows)
-
-    # Friedman: blocks = missing-rate conditions, cells = mean accuracy
-    matrix = [[mean_acc[(alg, rate)] for alg in algorithms]
-              for rate in rates]
-    fried = stats.friedman(matrix, alpha=args.alpha)
-    fried["treatments"] = algorithms
-    fried["blocks"] = rates
-    stats.write_friedman_json(os.path.join(args.out, "friedman.json"),
-                              fried)
-
-    vectors = _paired_scores(clean, algorithms)
-    verdicts = stats.pairwise_verdicts(vectors, alpha=args.alpha)
-    stats.write_wilcoxon_matrix_csv(
-        os.path.join(args.out, "wilcoxon_matrix.csv"), algorithms,
-        verdicts)
-    stats.write_win_tie_loss_csv(
-        os.path.join(args.out, "win_tie_loss.csv"), algorithms,
-        stats.win_tie_loss(verdicts))
-
-    stability_values = []
-    if len(rates) >= 2:
-        for alg in algorithms:
-            stability_values.append(stats.stability(
-                [mean_acc[(alg, rate)] for rate in rates]))
-    stats.write_stability_csv(os.path.join(args.out, "stability.csv"),
-                              algorithms if stability_values else [],
-                              stability_values)
+    for name, (header, rows) in comparison.tables().items():
+        report.write_csv(os.path.join(args.out, name), header, rows)
+    fried = comparison.friedman
+    report.write_json(os.path.join(args.out, "friedman.json"), fried)
     print(f"stats written to {args.out} "
           f"(chi2={fried['chi2']:.3f}, p={fried['p_value']:.3g})")
     return EXIT_OK
@@ -284,15 +225,12 @@ def cmd_stats(args):
 def cmd_report(args):
     records = driver.load_records(args.results)
     os.makedirs(args.out, exist_ok=True)
-    tables = report.best_architectures(records)
+    tables = {f"architectures_rate_{rate:g}.csv": rows for rate, rows
+              in report.best_architectures(records).items()}
     written = []
-    for rate, rows in tables.items():
-        path = os.path.join(args.out, f"architectures_rate_{rate:g}.csv")
-        report.write_architecture_csv(path, rows)
-        written.append(path)
-    if not tables:
-        path = os.path.join(args.out, "architectures.csv")
-        report.write_architecture_csv(path, [])
+    for name, rows in (tables or {"architectures.csv": []}).items():
+        path = os.path.join(args.out, name)
+        report.write_csv(path, report.ARCHITECTURE_HEADER, rows)
         written.append(path)
     svg_path = os.path.join(args.out, "accuracy_by_algorithm.svg")
     with open(svg_path, "w") as fh:

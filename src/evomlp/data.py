@@ -12,7 +12,7 @@ entries of a complete dataset and of its mask.
 import csv
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +30,8 @@ class SchemaError(ValueError):
 
 
 class RowParseError(ValueError):
-    """A cell could not be parsed; message carries the line number."""
+    """A row or one of its cells could not be parsed; message carries
+    the line number."""
 
 
 class DegenerateIntervalError(ValueError):
@@ -54,7 +55,12 @@ class LabeledDataset:
     """Feature matrix, integer labels (0=safe, 1=warning, 2=critical) and
     the mask M that says which entries were observed (1) versus missing
     (0); missing entries of X are zero. M defaults to all ones, a
-    complete dataset."""
+    complete dataset.
+
+    Construction checks every dataset, however it was made: SchemaError
+    unless X is 2-D and finite, M has X's shape and holds only 0 and 1,
+    y holds n integer labels of CLASS_NAMES, and there are p feature
+    names."""
 
     X: np.ndarray
     y: np.ndarray
@@ -62,8 +68,30 @@ class LabeledDataset:
     M: np.ndarray = None
 
     def __post_init__(self):
+        if self.X.ndim != 2:
+            raise SchemaError(f"features must be 2-D, got shape "
+                              f"{self.X.shape}")
+        if not np.isfinite(self.X).all():
+            raise SchemaError(f"{np.count_nonzero(~np.isfinite(self.X))} "
+                              "feature values are not finite numbers")
         if self.M is None:
             self.M = np.ones_like(self.X)
+        if self.M.shape != self.X.shape:
+            raise SchemaError(f"mask shape {self.M.shape} does not match "
+                              f"data {self.X.shape}")
+        if not np.all((self.M == 0) | (self.M == 1)):
+            raise SchemaError(
+                "mask entries must be 0 (missing) or 1 (observed)")
+        if (self.y.shape != (self.n,)
+                or not np.issubdtype(self.y.dtype, np.integer)):
+            raise SchemaError(f"labels must be {self.n} integers, got "
+                              f"{self.y.dtype} of shape {self.y.shape}")
+        if np.any((self.y < 0) | (self.y >= len(CLASS_NAMES))):
+            raise SchemaError(
+                f"labels must lie in [0, {len(CLASS_NAMES)})")
+        if len(self.feature_names) != self.p:
+            raise SchemaError(f"{len(self.feature_names)} feature names "
+                              f"for {self.p} features")
 
     @property
     def n(self):
@@ -357,12 +385,9 @@ def write_mask_csv(ds, path):
 
 
 def read_masked_csv(dataset_path, mask_path):
-    ds = read_dataset_csv(dataset_path)
-    M = np.loadtxt(mask_path, delimiter=",", dtype=float, ndmin=2)
-    if M.shape != ds.X.shape:
-        raise SchemaError(
-            f"mask shape {M.shape} does not match data {ds.X.shape}")
-    if not np.all((M == 0) | (M == 1)):
-        raise SchemaError("mask entries must be 0 (missing) or 1 (observed)")
-    return LabeledDataset(X=ds.X * M, y=ds.y, feature_names=ds.feature_names,
-                          M=M)
+    # the dataset checks the mask before X is multiplied by it
+    ds = replace(read_dataset_csv(dataset_path),
+                 M=np.loadtxt(mask_path, delimiter=",", dtype=float,
+                              ndmin=2))
+    ds.X = ds.X * ds.M
+    return ds

@@ -11,12 +11,13 @@ rate so every algorithm faces identical missingness.
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import objective
-from .data import MAX_MISSING_RATE, inject_missing, is_missing_rate
+from .data import (MAX_MISSING_RATE, RowParseError, inject_missing,
+                   is_missing_rate)
 from .genome import Genome, SearchSpace, check_int_fields, decode, grow
 from .objective import EvalConfig, FoldSplit
 from .pbmh import (ALGORITHM_NAMES, ConfigError, canonical_name,
@@ -96,6 +97,26 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, d):
+        """The record a parsed results line holds; ValueError for a key
+        that is missing or unknown, or a value of another type than its
+        field's. The scores may be None only in an error record."""
+        if not isinstance(d, dict):
+            raise ValueError("a record must be a JSON object")
+        known = {f.name: f for f in fields(cls)}
+        required = {name for name, f in known.items() if f.default is MISSING}
+        for what, keys in (("unknown", set(d) - set(known)),
+                           ("missing", required - set(d))):
+            if keys:
+                raise ValueError(f"{what} keys {sorted(keys)}")
+        for name, value in d.items():
+            f = known[name]
+            if value is None and (f.default is None or (
+                    f.type is float and d.get("error") is not None)):
+                continue
+            kinds = (int, float) if f.type is float else f.type
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(f"{name} {value!r} is not a "
+                                 f"{f.type.__name__}")
         return cls(**d)
 
 
@@ -268,12 +289,16 @@ def desk_config(algorithms=("DE", "PSO", "CMA-ES"), master_seed=0):
 
 
 def load_records(path):
+    """The RunRecords of a results file (JSON lines; blank lines skipped).
+    RowParseError naming the line for one that is not a RunRecord."""
     records = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(RunRecord.from_dict(json.loads(line)))
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    records.append(RunRecord.from_dict(json.loads(line)))
+                except ValueError as exc:
+                    raise RowParseError(f"line {lineno}: {exc}") from exc
     return records
 
 

@@ -1,14 +1,35 @@
 """Aggregation of benchmark records into tables and a chart.
 
 Produces the per-condition summary (mean/std of accuracy and F-measure
-over repeats), the found-architecture tables, and a static SVG bar chart
-of mean accuracy per algorithm.
+over repeats), the comparison of the algorithms (`compare`: Friedman
+ranks, pairwise Wilcoxon verdicts, win/tie/loss and stability), the
+found-architecture tables, and a static SVG bar chart of mean accuracy
+per algorithm. Every table is written by `write_csv` and every JSON
+document by `write_json`.
 """
 
 import csv
+import json
 from collections import defaultdict
+from typing import NamedTuple
 
 import numpy as np
+
+from . import stats
+from .pbmh import ConfigError
+
+
+def write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def group_scores(records):
@@ -25,19 +46,11 @@ def group_scores(records):
 
 
 def algorithms_in(records):
-    seen = []
-    for r in records:
-        if r.algorithm not in seen:
-            seen.append(r.algorithm)
-    return seen
+    return list(dict.fromkeys(r.algorithm for r in records))
 
 
 def rates_in(records):
-    seen = []
-    for r in records:
-        if r.missing_rate not in seen:
-            seen.append(r.missing_rate)
-    return sorted(seen)
+    return sorted({r.missing_rate for r in records})
 
 
 def summary_rows(records):
@@ -64,23 +77,93 @@ def summary_rows(records):
     return rows
 
 
-def write_summary_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["missing_rate", "algorithm",
-                         "accuracy_mean", "accuracy_std",
-                         "f_measure_mean", "f_measure_std", "repeats"])
-        for row in rows:
-            writer.writerow([
-                row["missing_rate"], row["algorithm"],
-                f"{row['accuracy_mean']:.2f}", f"{row['accuracy_std']:.2f}",
-                f"{row['f_measure_mean']:.2f}",
-                f"{row['f_measure_std']:.2f}", row["repeats"]])
+class Comparison(NamedTuple):
+    """The comparison of the algorithms in a set of records; see
+    `compare`. Lists follow `algorithms` order."""
+
+    algorithms: list
+    summary: list  # summary_rows of the clean records
+    friedman: dict  # stats.friedman, with its treatments and blocks
+    verdicts: list  # stats.pairwise_verdicts
+    wins_ties_losses: list
+    stability: list  # empty with one rate
+
+    def tables(self):
+        """{file name: (header, rows)} of the CSV tables, each cell
+        formatted as written."""
+        names = self.algorithms
+        return {
+            "summary.csv": (
+                ["missing_rate", "algorithm", "accuracy_mean",
+                 "accuracy_std", "f_measure_mean", "f_measure_std",
+                 "repeats"],
+                [[row["missing_rate"], row["algorithm"],
+                  f"{row['accuracy_mean']:.2f}", f"{row['accuracy_std']:.2f}",
+                  f"{row['f_measure_mean']:.2f}",
+                  f"{row['f_measure_std']:.2f}", row["repeats"]]
+                 for row in self.summary]),
+            "wilcoxon_matrix.csv": (
+                ["algorithm", *names],
+                [[name, *(stats.VERDICT_SYMBOL[cell] for cell in row)]
+                 for name, row in zip(names, self.verdicts)]),
+            "win_tie_loss.csv": (
+                ["algorithm", "wins", "ties", "losses"],
+                [[name, *wtl]
+                 for name, wtl in zip(names, self.wins_ties_losses)]),
+            "stability.csv": (
+                ["algorithm", "stability_std"],
+                [[name, repr(value)]
+                 for name, value in zip(names, self.stability)]),
+        }
+
+
+def compare(records, alpha):
+    """Compare the algorithms of a set of records, error records left out.
+
+    Friedman ranks them over the missing rates at which every algorithm
+    has a clean record (blocks: rates, cells: mean accuracy), Wilcoxon
+    compares each pair over the (rate, repeat) cells that every algorithm
+    completed, and stability is each algorithm's spread of mean accuracy
+    over those rates, given for two rates or more. ConfigError when fewer
+    than two algorithms or no such rate remain.
+    """
+    clean = [r for r in records if not r.error]
+    algorithms = algorithms_in(clean)
+    if len(algorithms) < 2:
+        raise ConfigError("need results for at least 2 algorithms")
+    summary = summary_rows(clean)
+    mean_acc = {(row["algorithm"], row["missing_rate"]): row["accuracy_mean"]
+                for row in summary}
+    rates = [rate for rate in rates_in(clean)
+             if all((alg, rate) in mean_acc for alg in algorithms)]
+    if not rates:
+        raise ConfigError("no missing rate has results for every algorithm")
+    by_rate = [[mean_acc[(alg, rate)] for alg in algorithms]
+               for rate in rates]
+    accuracy = {(r.algorithm, r.missing_rate, r.repeat): r.accuracy
+                for r in clean}
+    cells = sorted(set.intersection(*(
+        {(rate, rep) for a, rate, rep in accuracy if a == alg}
+        for alg in algorithms)))
+    verdicts = stats.pairwise_verdicts(
+        [[accuracy[(alg, *cell)] for cell in cells] for alg in algorithms],
+        alpha)
+    return Comparison(
+        algorithms, summary,
+        dict(stats.friedman(by_rate, alpha), treatments=algorithms,
+             blocks=rates),
+        verdicts, stats.win_tie_loss(verdicts),
+        [stats.stability(scores) for scores in zip(*by_rate)]
+        if len(rates) >= 2 else [])
+
+
+ARCHITECTURE_HEADER = ["algorithm", "structure", "learning_rate", "solver"]
 
 
 def best_architectures(records):
     """{rate: [(algorithm, structure, learning_rate, solver_name)]} using
-    each cell's lowest-fitness repeat."""
+    each cell's lowest-fitness repeat, formatted as written under
+    ARCHITECTURE_HEADER."""
     best = {}
     for r in records:
         if r.error:
@@ -92,23 +175,14 @@ def best_architectures(records):
     for (alg, rate), r in sorted(best.items(),
                                  key=lambda kv: (kv[0][1], kv[0][0])):
         arch = r.architecture
+        lr = arch.get("learning_rate")
         tables[rate].append((
             alg,
             str(arch.get("hidden_layer_sizes", [])),
-            arch.get("learning_rate"),
+            "" if lr is None else f"{lr:.4f}",
             arch.get("solver_name"),
         ))
     return dict(tables)
-
-
-def write_architecture_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "structure", "learning_rate",
-                         "solver"])
-        for alg, structure, lr, solver in rows:
-            lr_text = "" if lr is None else f"{lr:.4f}"
-            writer.writerow([alg, structure, lr_text, solver])
 
 
 def _svg_escape(text):

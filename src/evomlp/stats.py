@@ -8,8 +8,6 @@ regularized incomplete gamma so the package needs no statistics
 dependency.
 """
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -19,7 +17,8 @@ SUPERIOR = "superior"
 INFERIOR = "inferior"
 EQUIVALENT = "equivalent"
 
-_VERDICT_SYMBOL = {SUPERIOR: "+", INFERIOR: "-", EQUIVALENT: "="}
+# a verdict matrix cell as written; the diagonal is None
+VERDICT_SYMBOL = {SUPERIOR: "+", INFERIOR: "-", EQUIVALENT: "=", None: ""}
 _MIN_PAIRS = 5
 
 
@@ -247,34 +246,3 @@ def stability(scores):
         raise ValueError("need at least 2 per-condition scores")
     return float(np.std(scores))
 
-
-def write_friedman_json(path, result):
-    with open(path, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_wilcoxon_matrix_csv(path, names, verdict_matrix):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm"] + list(names))
-        for name, row in zip(names, verdict_matrix):
-            writer.writerow([name] + [
-                "" if cell is None else _VERDICT_SYMBOL[cell]
-                for cell in row])
-
-
-def write_win_tie_loss_csv(path, names, wtl):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "wins", "ties", "losses"])
-        for name, (w, t, loss) in zip(names, wtl):
-            writer.writerow([name, w, t, loss])
-
-
-def write_stability_csv(path, names, values):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "stability_std"])
-        for name, v in zip(names, values):
-            writer.writerow([name, repr(float(v))])

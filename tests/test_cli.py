@@ -538,3 +538,29 @@ def test_stats_and_report_idempotent_bytes(bench_dir, tmp_path):
                   "accuracy_by_algorithm.svg"):
         assert (dirs[0][1] / fname).read_bytes() \
             == (dirs[1][1] / fname).read_bytes(), fname
+
+
+# a results line that is not a RunRecord, made from a good one
+_BAD_RESULTS_LINES = {
+    "missing_keys": lambda r: json.dumps({"algorithm": "DE"}),
+    "string_accuracy": lambda r: json.dumps(dict(r, accuracy="91.5")),
+    "unknown_key": lambda r: json.dumps(dict(r, score=1.0)),
+    "clean_record_without_accuracy":
+        lambda r: json.dumps(dict(r, accuracy=None)),
+    "not_an_object": lambda r: json.dumps([r]),
+    "truncated": lambda r: json.dumps(r)[:40],
+}
+
+
+@pytest.mark.parametrize("bad", _BAD_RESULTS_LINES)
+@pytest.mark.parametrize("command", ["stats", "report"])
+def test_bad_results_line_exits_2_naming_it(bench_dir, tmp_path, capsys,
+                                            command, bad):
+    first = (bench_dir / "results.jsonl").read_text().splitlines()[0]
+    results = tmp_path / "results.jsonl"
+    results.write_text(
+        first + "\n" + _BAD_RESULTS_LINES[bad](json.loads(first)) + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--results", str(results), "--out", str(out)]) == 2
+    assert "line 2:" in capsys.readouterr().err
+    assert not out.exists()

@@ -303,6 +303,35 @@ def test_masked_csv_rejects_non_binary_mask(tmp_path, entry):
         read_masked_csv(data_path, mask_path)
 
 
+_GATE_X = np.arange(36, dtype=float).reshape(9, 4)
+
+
+def _with_cell(value):
+    X = _GATE_X.copy()
+    X[4, 2] = value
+    return X
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"X": _with_cell(np.nan)}, "not finite"),
+    ({"X": _with_cell(np.inf)}, "not finite"),
+    ({"X": _GATE_X[:, 0]}, "2-D"),
+    ({"M": np.full((9, 4), 0.5)}, "mask entries"),
+    ({"M": np.ones((9, 3))}, "mask shape"),
+    ({"y": np.arange(8) % 3}, "labels"),
+    ({"y": (np.arange(9) % 3).astype(float)}, "labels"),
+    ({"y": np.arange(9) % 3 + 1}, "labels"),
+    ({"feature_names": ["a", "b", "c"]}, "feature names"),
+], ids=["nan_cell", "inf_cell", "1d_features", "half_mask", "mask_shape",
+        "short_labels", "float_labels", "label_outside_classes",
+        "too_few_names"])
+def test_dataset_rejects_malformed_fields(fields, message):
+    kwargs = dict(X=_GATE_X, y=np.arange(9) % 3,
+                  feature_names=["a", "b", "c", "d"])
+    with pytest.raises(SchemaError, match=message):
+        LabeledDataset(**dict(kwargs, **fields))
+
+
 def test_complete_dataset_mask_is_all_ones():
     ds = _blob_dataset()
     assert ds.M.shape == ds.X.shape

@@ -164,10 +164,11 @@ def test_evaluate_rejects_too_few_rows(blob_data):
 
 @pytest.mark.parametrize("label", [-1, 3])
 def test_split_rejects_labels_outside_the_classes(blob_data, label):
-    bad = dataclasses.replace(blob_data, y=blob_data.y.copy())
-    bad.y[7] = label
+    y = blob_data.y.copy()
+    y[7] = label
+    # the dataset rejects the labels before a split can be made of them
     with pytest.raises(ValueError, match="labels"):
-        split_folds(bad, _fast_cfg())
+        split_folds(dataclasses.replace(blob_data, y=y), _fast_cfg())
 
 
 def _softmax_regression_error(ds, folds, seed):
