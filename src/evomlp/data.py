@@ -50,7 +50,7 @@ class StateRow:
     features: dict
 
 
-@dataclass
+@dataclass(frozen=True)
 class LabeledDataset:
     """Feature matrix, integer labels (0=safe, 1=warning, 2=critical) and
     the mask M that says which entries were observed (1) versus missing
@@ -60,7 +60,9 @@ class LabeledDataset:
     Construction checks every dataset, however it was made: SchemaError
     unless X is 2-D and finite, M has X's shape and holds only 0 and 1,
     y holds n integer labels of CLASS_NAMES, and there are p feature
-    names."""
+    names. A dataset is frozen and keeps X, y and M as read-only views,
+    so nothing reaches it past that check; the caller's own arrays stay
+    writable."""
 
     X: np.ndarray
     y: np.ndarray
@@ -68,14 +70,18 @@ class LabeledDataset:
     M: np.ndarray = None
 
     def __post_init__(self):
+        if self.M is None:
+            object.__setattr__(self, "M", np.ones_like(self.X))
+        for name in ("X", "y", "M"):
+            view = getattr(self, name).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
         if self.X.ndim != 2:
             raise SchemaError(f"features must be 2-D, got shape "
                               f"{self.X.shape}")
         if not np.isfinite(self.X).all():
             raise SchemaError(f"{np.count_nonzero(~np.isfinite(self.X))} "
                               "feature values are not finite numbers")
-        if self.M is None:
-            self.M = np.ones_like(self.X)
         if self.M.shape != self.X.shape:
             raise SchemaError(f"mask shape {self.M.shape} does not match "
                               f"data {self.X.shape}")
@@ -389,5 +395,4 @@ def read_masked_csv(dataset_path, mask_path):
     ds = replace(read_dataset_csv(dataset_path),
                  M=np.loadtxt(mask_path, delimiter=",", dtype=float,
                               ndmin=2))
-    ds.X = ds.X * ds.M
-    return ds
+    return replace(ds, X=ds.X * ds.M)

@@ -214,7 +214,8 @@ def run_benchmark(ds, cfg, out_path=None, deterministic=False,
     ds must be complete (a missing entry is a ConfigError). Masks are
     drawn over it once per rate, so all algorithms and repeats face the
     same missingness, and each rate's fold split (objective.FoldSplit) is
-    made once, before any cell runs. A failing cell becomes an error
+    made once, before any cell runs or out_path is opened, so a dataset
+    with fewer rows than folds fails there. A failing cell becomes an error
     record and the benchmark keeps going. Records append to out_path
     (JSON lines) in grid order as they complete.
 
@@ -227,10 +228,6 @@ def run_benchmark(ds, cfg, out_path=None, deterministic=False,
     """
     if not ds.M.all():
         raise ConfigError("the dataset already has missing entries")
-    if ds.n < cfg.eval.folds:
-        # every cell would fail in its first evaluation
-        raise ConfigError(
-            f"dataset has {ds.n} rows, fewer than {cfg.eval.folds} folds")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
 
@@ -290,15 +287,22 @@ def desk_config(algorithms=("DE", "PSO", "CMA-ES"), master_seed=0):
 
 def load_records(path):
     """The RunRecords of a results file (JSON lines; blank lines skipped).
-    RowParseError naming the line for one that is not a RunRecord."""
-    records = []
+    RowParseError naming the line for one that is not a RunRecord, or
+    whose (algorithm, missing_rate, repeat) cell an earlier line holds."""
+    records, seen = [], {}  # cell -> the line that held it
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 try:
-                    records.append(RunRecord.from_dict(json.loads(line)))
+                    record = RunRecord.from_dict(json.loads(line))
                 except ValueError as exc:
                     raise RowParseError(f"line {lineno}: {exc}") from exc
+                cell = (record.algorithm, record.missing_rate, record.repeat)
+                if cell in seen:
+                    raise RowParseError(f"line {lineno}: cell {cell} repeats "
+                                        f"line {seen[cell]}")
+                seen[cell] = lineno
+                records.append(record)
     return records
 
 

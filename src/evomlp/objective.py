@@ -66,14 +66,21 @@ class EvalResult:
         return self.fitness
 
 
-def classification_error(pred, truth):
-    """100/P * (# mismatches)."""
+def _prediction_pair(pred, truth):
+    """pred and truth as arrays; ValueError unless they are of one shape
+    and not empty."""
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     if pred.shape != truth.shape:
         raise ValueError("pred and truth must have equal length")
     if pred.size == 0:
         raise ValueError("empty prediction set")
+    return pred, truth
+
+
+def classification_error(pred, truth):
+    """100/P * (# mismatches)."""
+    pred, truth = _prediction_pair(pred, truth)
     return 100.0 * np.count_nonzero(pred != truth) / pred.size
 
 
@@ -83,30 +90,14 @@ def f_measure(pred, truth):
     Classes that never occur on either side are perfectly predicted by
     definition and stay out of the average.
     """
-    pred = np.asarray(pred)
-    truth = np.asarray(truth)
-    if pred.shape != truth.shape:
-        raise ValueError("pred and truth must have equal length")
-    if pred.size == 0:
-        raise ValueError("empty prediction set")
+    pred, truth = _prediction_pair(pred, truth)
     classes, codes = np.unique(np.concatenate([pred.ravel(), truth.ravel()]),
                                return_inverse=True)
     m = classes.size
-    # pairs[c][d]: how many rows are predicted c and truly d
+    # pairs[c * m + d]: how many rows are predicted c and truly d
     pairs = np.bincount(codes[:pred.size] * m + codes[pred.size:],
-                        minlength=m * m).reshape(m, m).tolist()
-    scores = []
-    for c, row in enumerate(pairs):
-        tp = row[c]
-        fp = sum(row) - tp
-        fn = sum(other[c] for other in pairs) - tp
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        if precision + recall:
-            scores.append(2 * precision * recall / (precision + recall))
-        else:
-            scores.append(0.0)
-    return 100.0 * float(np.mean(scores))
+                        minlength=m * m).tolist()
+    return _fold_scores(pairs, m, pred.size)["f_measure"]
 
 
 def stratified_folds(y, k, rng):
@@ -300,8 +291,9 @@ def _fold_scores(pairs, m, n):
     """Error, accuracy and F-measure of one fold's n predictions, where
     pairs[c * m + d] counts the rows predicted c and truly d.
 
-    The F-measure is f_measure's arithmetic on the same integers; its
-    mean is a left-to-right sum, as np.mean sums fewer than 8 values."""
+    The F-measure averages the classes that occur on either side; its
+    mean is a left-to-right sum, which is what np.mean gives for fewer
+    than 8 classes."""
     hits = sum(pairs[c * m + c] for c in range(m))
     err = 100.0 * (n - hits) / n
     scores = []

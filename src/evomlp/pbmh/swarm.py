@@ -1,9 +1,38 @@
-"""Particle-swarm family: canonical PSO plus four published variants.
+"""Particle-swarm family: canonical PSO plus four published variants,
+on one flight loop.
 
-The velocity rules live in standalone functions so they can be exercised
-directly; the run_* drivers wire them to populations, bound clamping and
-the shared evaluation budget.
+`_fly` owns the particle. Each generation it moves every particle in
+turn: it clamps the velocity to +-span (span = hi - lo), moves the
+position and clips it to the box, scores it with `budget.eval`,
+refreshes the personal best, and counts the particle's stall (the
+generations since its personal best last improved; 0 after an
+improvement).
+
+A variant supplies only what differs. It is a generator over the swarm
+that yields one velocity rule per generation, a function of the
+particle index; the code before each yield is the generation's
+schedule, and the code after it runs once every particle has moved.
+
+PSO, HPSO and PPSO pull toward the global best as snapshotted at the
+start of each generation.
+
+- PSO: linearly falling inertia.
+- HPSO: no inertia, c1 falling and c2 rising over the run; a particle
+  stalled for 5 generations gets a random velocity within a shrinking
+  step instead, and its stall count restarts.
+- CPSO: fitness-adaptive inertia from the generation's f_avg and f_min,
+  pulling toward its own global best, which after the particles have
+  moved also takes the points of a chaotic local search around it.
+- CLPSO: one pull toward a per-dimension exemplar of personal bests,
+  rebuilt for a particle stalled for 7 generations.
+- PPSO: a per-particle phase angle alone weights the two pulls, and
+  advances after each use.
+
+The velocity rules themselves are standalone functions, so they can be
+exercised directly.
 """
+
+from functools import partial
 
 import numpy as np
 
@@ -83,103 +112,97 @@ def _linear(start, end, progress):
 
 
 class _Swarm:
-    """Positions, zero-init velocities, personal bests, global best."""
+    """Positions, zero-init velocities, personal bests, and each
+    particle's stall count."""
 
     def __init__(self, budget, lo, hi, pop_size, rng, x0):
         self.X, self.f = init_population(budget, lo, hi, pop_size, rng, x0)
         self.V = np.zeros_like(self.X)
         self.pbest = self.X.copy()
         self.pbest_f = self.f.copy()
+        self.stalled = np.zeros(pop_size, dtype=int)
 
-    @property
-    def gbest_index(self):
-        return int(np.argmin(self.pbest_f))
-
-    @property
-    def gbest(self):
-        return self.pbest[self.gbest_index]
-
-    def move_and_score(self, i, budget, lo, hi):
-        """Clamp velocity/position, evaluate, refresh bests. Returns True
-        when the personal best improved."""
-        span = hi - lo
-        self.V[i] = np.clip(self.V[i], -span, span)
-        self.X[i] = np.clip(self.X[i] + self.V[i], lo, hi)
-        self.f[i] = budget.eval(self.X[i])
-        if self.f[i] < self.pbest_f[i]:
-            self.pbest_f[i] = self.f[i]
-            self.pbest[i] = self.X[i].copy()
-            return True
-        return False
+    def best(self):
+        """A copy of the best personal best, and its fitness."""
+        i = np.argmin(self.pbest_f)
+        return self.pbest[i].copy(), self.pbest_f[i]
 
 
-def run_pso(budget, lo, hi, pop_size, rng, x0=None):
-    c1, c2 = PSO_CONSTANTS["c1"], PSO_CONSTANTS["c2"]
+def _fly(budget, lo, hi, pop_size, rng, x0=None, *, variant):
+    """Fly a swarm until the budget ends the run, each generation moving
+    every particle by the velocity rule the variant yields."""
     swarm = _Swarm(budget, lo, hi, pop_size, rng, x0)
-    d = lo.size
-    while not budget.exhausted:
-        w = _linear(PSO_CONSTANTS["inertia_max"],
-                    PSO_CONSTANTS["inertia_min"], budget.progress)
-        g = swarm.gbest.copy()
+    span = hi - lo
+    for velocity in variant(swarm, budget, lo, hi, rng):
         for i in range(pop_size):
-            swarm.V[i] = pso_velocity(
-                swarm.V[i], swarm.X[i], swarm.pbest[i], g,
-                w, c1, c2, rng.random(d), rng.random(d))
-            swarm.move_and_score(i, budget, lo, hi)
+            swarm.V[i] = np.clip(velocity(i), -span, span)
+            swarm.X[i] = np.clip(swarm.X[i] + swarm.V[i], lo, hi)
+            swarm.f[i] = budget.eval(swarm.X[i])
+            improved = swarm.f[i] < swarm.pbest_f[i]
+            swarm.stalled[i] = 0 if improved else swarm.stalled[i] + 1
+            if improved:
+                swarm.pbest[i], swarm.pbest_f[i] = swarm.X[i], swarm.f[i]
 
 
-def run_hpso(budget, lo, hi, pop_size, rng, x0=None):
-    """Inertia-free PSO with time-varying acceleration; particles whose
-    personal best stalls for 5 generations get their velocity re-seeded
-    with a shrinking mutation step."""
+# Each variant's velocity rule reads the schedule its loop sets before
+# each yield.
+
+def _pso(swarm, budget, lo, hi, rng):
+    cfg = PSO_CONSTANTS
+    d = lo.size
+
+    def velocity(i):
+        return pso_velocity(swarm.V[i], swarm.X[i], swarm.pbest[i], g, w,
+                            cfg["c1"], cfg["c2"], rng.random(d),
+                            rng.random(d))
+
+    while not budget.exhausted:
+        w = _linear(cfg["inertia_max"], cfg["inertia_min"], budget.progress)
+        g, _ = swarm.best()
+        yield velocity
+
+
+def _hpso(swarm, budget, lo, hi, rng):
     cfg = HPSO_CONSTANTS
-    swarm = _Swarm(budget, lo, hi, pop_size, rng, x0)
     d = lo.size
-    span = hi - lo
-    stalled = np.zeros(pop_size, dtype=int)
+
+    def velocity(i):
+        if swarm.stalled[i] >= cfg["stagnation_limit"]:
+            swarm.stalled[i] = 0
+            return rng.uniform(-step, step)
+        return pso_velocity(swarm.V[i], swarm.X[i], swarm.pbest[i], g, 0.0,
+                            c1, c2, rng.random(d), rng.random(d))
+
     while not budget.exhausted:
-        progress = budget.progress
-        c1 = _linear(cfg["c1_start"], cfg["c1_end"], progress)
-        c2 = _linear(cfg["c2_start"], cfg["c2_end"], progress)
+        c1 = _linear(cfg["c1_start"], cfg["c1_end"], budget.progress)
+        c2 = _linear(cfg["c2_start"], cfg["c2_end"], budget.progress)
         step = _linear(cfg["reinit_step_start"], cfg["reinit_step_end"],
-                       progress) * span
-        g = swarm.gbest.copy()
-        for i in range(pop_size):
-            if stalled[i] >= cfg["stagnation_limit"]:
-                swarm.V[i] = rng.uniform(-step, step)
-                stalled[i] = 0
-            else:
-                swarm.V[i] = pso_velocity(
-                    swarm.V[i], swarm.X[i], swarm.pbest[i], g,
-                    0.0, c1, c2, rng.random(d), rng.random(d))
-            improved = swarm.move_and_score(i, budget, lo, hi)
-            stalled[i] = 0 if improved else stalled[i] + 1
+                       budget.progress) * (hi - lo)
+        g, _ = swarm.best()
+        yield velocity
 
 
-def run_cpso(budget, lo, hi, pop_size, rng, x0=None):
-    """PSO with fitness-adaptive inertia plus a chaotic local search that
-    samples logistic-map points in a shrinking box around the best."""
+def _cpso(swarm, budget, lo, hi, rng):
     cfg = CPSO_CONSTANTS
-    swarm = _Swarm(budget, lo, hi, pop_size, rng, x0)
     d = lo.size
-    span = hi - lo
     z = rng.uniform(0.01, 0.99, d)
-    gbest = swarm.gbest.copy()
-    gbest_f = swarm.pbest_f[swarm.gbest_index]
+    gbest, gbest_f = swarm.best()
+
+    def velocity(i):
+        w = aiwf(swarm.f[i], f_avg, f_min,
+                 cfg["inertia_min"], cfg["inertia_max"])
+        return pso_velocity(swarm.V[i], swarm.X[i], swarm.pbest[i], gbest, w,
+                            cfg["c1"], cfg["c2"], rng.random(d),
+                            rng.random(d))
+
     while not budget.exhausted:
-        f_avg = float(np.mean(swarm.f))
-        f_min = float(np.min(swarm.f))
-        for i in range(pop_size):
-            w = aiwf(swarm.f[i], f_avg, f_min,
-                     cfg["inertia_min"], cfg["inertia_max"])
-            swarm.V[i] = pso_velocity(
-                swarm.V[i], swarm.X[i], swarm.pbest[i], gbest,
-                w, cfg["c1"], cfg["c2"], rng.random(d), rng.random(d))
-            swarm.move_and_score(i, budget, lo, hi)
-        if swarm.pbest_f[swarm.gbest_index] < gbest_f:
-            gbest = swarm.gbest.copy()
-            gbest_f = swarm.pbest_f[swarm.gbest_index]
-        radius = cfg["chaos_radius_frac"] * (1.0 - budget.progress) * span
+        f_avg, f_min = float(np.mean(swarm.f)), float(np.min(swarm.f))
+        yield velocity
+        best, best_f = swarm.best()
+        if best_f < gbest_f:
+            gbest, gbest_f = best, best_f
+        radius = (cfg["chaos_radius_frac"] * (1.0 - budget.progress)
+                  * (hi - lo))
         for _ in range(cfg["chaos_points"]):
             z = logistic_map(z)
             cand = np.clip(gbest + radius * (2.0 * z - 1.0), lo, hi)
@@ -214,36 +237,42 @@ def _build_exemplar(i, pc_i, pbest_f, d, rng):
     return exemplar
 
 
-def run_clpso(budget, lo, hi, pop_size, rng, x0=None):
+def _clpso(swarm, budget, lo, hi, rng):
     cfg = CLPSO_CONSTANTS
-    swarm = _Swarm(budget, lo, hi, pop_size, rng, x0)
     d = lo.size
-    pc = _clpso_pc(pop_size)
+    pc = _clpso_pc(swarm.f.size)
     exemplars = [_build_exemplar(i, pc[i], swarm.pbest_f, d, rng)
-                 for i in range(pop_size)]
-    stalled = np.zeros(pop_size, dtype=int)
+                 for i in range(swarm.f.size)]
+
+    def velocity(i):
+        if swarm.stalled[i] >= cfg["refreshing_gap"]:
+            exemplars[i] = _build_exemplar(i, pc[i], swarm.pbest_f, d, rng)
+            swarm.stalled[i] = 0
+        target = swarm.pbest[exemplars[i], np.arange(d)]
+        return clpso_velocity(swarm.V[i], swarm.X[i], target, w,
+                              cfg["c_local"], rng.random(d))
+
     while not budget.exhausted:
         w = _linear(cfg["inertia_max"], cfg["inertia_min"], budget.progress)
-        for i in range(pop_size):
-            if stalled[i] >= cfg["refreshing_gap"]:
-                exemplars[i] = _build_exemplar(i, pc[i], swarm.pbest_f, d,
-                                               rng)
-                stalled[i] = 0
-            target = swarm.pbest[exemplars[i], np.arange(d)]
-            swarm.V[i] = clpso_velocity(swarm.V[i], swarm.X[i], target,
-                                        w, cfg["c_local"], rng.random(d))
-            improved = swarm.move_and_score(i, budget, lo, hi)
-            stalled[i] = 0 if improved else stalled[i] + 1
+        yield velocity
 
 
-def run_ppso(budget, lo, hi, pop_size, rng, x0=None):
-    swarm = _Swarm(budget, lo, hi, pop_size, rng, x0)
-    theta = rng.uniform(0.0, 2.0 * np.pi, pop_size)
+def _ppso(swarm, budget, lo, hi, rng):
+    theta = rng.uniform(0.0, 2.0 * np.pi, swarm.f.size)
+
+    def velocity(i):
+        v = ppso_velocity(theta[i], swarm.X[i], swarm.pbest[i], g)
+        theta[i] = (theta[i] + abs(np.cos(theta[i]) + np.sin(theta[i]))
+                    * 2.0 * np.pi) % (2.0 * np.pi)
+        return v
+
     while not budget.exhausted:
-        g = swarm.gbest.copy()
-        for i in range(pop_size):
-            swarm.V[i] = ppso_velocity(theta[i], swarm.X[i],
-                                       swarm.pbest[i], g)
-            swarm.move_and_score(i, budget, lo, hi)
-            theta[i] = (theta[i] + abs(np.cos(theta[i]) + np.sin(theta[i]))
-                        * 2.0 * np.pi) % (2.0 * np.pi)
+        g, _ = swarm.best()
+        yield velocity
+
+
+run_pso = partial(_fly, variant=_pso)
+run_hpso = partial(_fly, variant=_hpso)
+run_cpso = partial(_fly, variant=_cpso)
+run_clpso = partial(_fly, variant=_clpso)
+run_ppso = partial(_fly, variant=_ppso)

@@ -549,6 +549,7 @@ _BAD_RESULTS_LINES = {
         lambda r: json.dumps(dict(r, accuracy=None)),
     "not_an_object": lambda r: json.dumps([r]),
     "truncated": lambda r: json.dumps(r)[:40],
+    "duplicate_cell": lambda r: json.dumps(r),
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -336,6 +337,47 @@ def test_complete_dataset_mask_is_all_ones():
     ds = _blob_dataset()
     assert ds.M.shape == ds.X.shape
     assert np.all(ds.M == 1)
+
+
+def _relabel_row_7(ds):
+    ds.y[7] = -1
+
+
+def _mask_one_entry(ds):
+    ds.M[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("change", [
+    _relabel_row_7,
+    _mask_one_entry,
+    lambda ds: setattr(ds, "y", np.full(ds.n, -1)),
+    lambda ds: setattr(ds, "M", np.full(ds.X.shape, 0.5)),
+], ids=["label_write", "mask_write", "labels_reassigned",
+        "mask_reassigned"])
+def test_dataset_cannot_change_past_its_gate(change):
+    ds = _blob_dataset()
+    with pytest.raises((ValueError, dataclasses.FrozenInstanceError)):
+        change(ds)
+    assert np.all((ds.y >= 0) & (ds.y < len(CLASS_NAMES)))
+    assert np.all(ds.M == 1)
+
+
+def test_dataset_leaves_the_callers_arrays_writable():
+    X, y = np.zeros((6, 2)), np.arange(6) % 3
+    ds = LabeledDataset(X=X, y=y, feature_names=["a", "b"])
+    X[0, 0], y[0] = 1.0, 2
+    assert ds.X[0, 0] == 1.0 and ds.y[0] == 2  # views, not copies
+    assert not (ds.X.flags.writeable or ds.y.flags.writeable
+                or ds.M.flags.writeable)
+
+
+def test_masked_csv_rejects_mask_of_another_shape(tmp_path):
+    ds = _blob_dataset(n=3, p=2)
+    data_path, mask_path = tmp_path / "ds.csv", tmp_path / "mask.csv"
+    write_dataset_csv(ds, data_path)
+    mask_path.write_text("1,0,1\n0,1,1\n1,1,1\n")
+    with pytest.raises(SchemaError, match="mask shape"):
+        read_masked_csv(data_path, mask_path)
 
 
 def test_onehot_encoding():
