@@ -25,8 +25,10 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_PARTIAL = 3
 
-_DATASET_KEYS = {"type", "n", "p", "classes", "separation", "seed",
-                 "path"}
+# the keys a dataset of each type accepts
+_DATASET_KEYS = {"synthetic": {"type", "n", "p", "classes", "separation",
+                               "seed"},
+                 "csv": {"type", "path"}}
 
 
 def _check_keys(mapping, allowed, context):
@@ -86,7 +88,13 @@ def load_config(path):
     cfg = _build(driver.SearchConfig, raw, "config")
 
     if dataset_spec is not None:
-        _check_keys(dataset_spec, _DATASET_KEYS, "dataset")
+        if not isinstance(dataset_spec, dict):
+            raise ConfigError("dataset must be a JSON object")
+        # load_dataset rejects a type of any other name
+        kind = dataset_spec.get("type")
+        for name, keys in _DATASET_KEYS.items():
+            if kind == name:
+                _check_keys(dataset_spec, keys, f"{name} dataset")
     return cfg, dataset_spec
 
 

@@ -60,9 +60,9 @@ class LabeledDataset:
     Construction checks every dataset, however it was made: SchemaError
     unless X is 2-D and finite, M has X's shape and holds only 0 and 1,
     y holds n integer labels of CLASS_NAMES, and there are p feature
-    names. A dataset is frozen and keeps X, y and M as read-only views,
-    so nothing reaches it past that check; the caller's own arrays stay
-    writable."""
+    names. A dataset is frozen and keeps read-only copies of X, y and
+    M, so nothing reaches it past that check, neither through the
+    dataset nor through the caller's arrays, which stay writable."""
 
     X: np.ndarray
     y: np.ndarray
@@ -73,9 +73,9 @@ class LabeledDataset:
         if self.M is None:
             object.__setattr__(self, "M", np.ones_like(self.X))
         for name in ("X", "y", "M"):
-            view = getattr(self, name).view()
-            view.flags.writeable = False
-            object.__setattr__(self, name, view)
+            copy = np.array(getattr(self, name))
+            copy.flags.writeable = False
+            object.__setattr__(self, name, copy)
         if self.X.ndim != 2:
             raise SchemaError(f"features must be 2-D, got shape "
                               f"{self.X.shape}")
@@ -323,7 +323,7 @@ def inject_missing(ds, rate, seed):
         hit = rng.choice(total, size=k, replace=False)
         mask[hit] = 0.0
     M = mask.reshape(n, p)
-    return LabeledDataset(X=ds.X * M, y=ds.y.copy(),
+    return LabeledDataset(X=ds.X * M, y=ds.y,
                           feature_names=list(ds.feature_names), M=M)
 
 

@@ -10,6 +10,7 @@ rate so every algorithm faces identical missingness.
 """
 
 import json
+import math
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
@@ -98,8 +99,9 @@ class RunRecord:
     @classmethod
     def from_dict(cls, d):
         """The record a parsed results line holds; ValueError for a key
-        that is missing or unknown, or a value of another type than its
-        field's. The scores may be None only in an error record."""
+        that is missing or unknown, a value of another type than its
+        field's, or a float that is not finite (json reads NaN and
+        Infinity). The scores may be None only in an error record."""
         if not isinstance(d, dict):
             raise ValueError("a record must be a JSON object")
         known = {f.name: f for f in fields(cls)}
@@ -117,6 +119,8 @@ class RunRecord:
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise ValueError(f"{name} {value!r} is not a "
                                  f"{f.type.__name__}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} {value!r} is not finite")
         return cls(**d)
 
 

@@ -9,17 +9,20 @@ A solver is built for a list of tensor shapes and updates a list of
 parameter tensors of those shapes in place. Training passes a single
 tensor, the network's flat parameter vector (see network.MaskedMLP), so
 one step is one finiteness check and one pass of the rule over every
-parameter. States hold per-tensor slot arrays (moments, accumulators,
-per-weight steps) shaped like the trained parameters, plus SCRATCH work
-arrays per tensor: every update is written with in-place ufuncs into
-those, so the rule allocates no parameter-sized temporary (Rprop's
-indexed updates allocate at most a chunk) and a step never writes into
-the gradients it is given. Each in-place form keeps
+parameter. Each rule names its per-tensor state arrays (moments,
+accumulators, momentum buffers) in SLOTS, and the base class allocates
+them, zeroed and shaped like the trained parameters, plus SCRATCH work
+arrays per tensor. The Adam family (Adam, AdamW, Adamax, NAdam, RAdam)
+shares one prologue, which decays the gradient and moves m and v, and
+each member writes only its own final step; SGD and RMSprop share one
+momentum step. Every update is written with in-place ufuncs into the
+state and scratch arrays, so the rule allocates no parameter-sized
+temporary (Rprop's indexed updates allocate at most a chunk) and a step
+never writes into the gradients it is given. Each in-place form keeps
 the order of every floating-point operation of the rule's expression (up
 to swapping the operands of a product or a sum), so it gives the same
 bits.
 """
-
 import math
 from dataclasses import dataclass, field
 
@@ -71,10 +74,6 @@ def _check_grads(grads):
             raise NumericFaultError(f"non-finite gradient for tensor {i}")
 
 
-def _zeros(shapes):
-    return [np.zeros(s) for s in shapes]
-
-
 def _ema(avg, decay, x, tmp):
     """avg = decay * avg + (1 - decay) * x, in place."""
     avg *= decay
@@ -90,6 +89,13 @@ def _ema_sq(avg, decay, x, tmp):
     avg += tmp
 
 
+def _running_max(avg, decay, x, tmp):
+    """avg = max(decay * avg, |x|), in place."""
+    avg *= decay
+    np.abs(x, out=tmp)
+    np.maximum(avg, tmp, out=avg)
+
+
 def _adaptive_update(w, step, v, v_scale, tmp):
     """w -= step / (sqrt(v / v_scale) + EPS); step is overwritten."""
     np.divide(v, v_scale, out=tmp)
@@ -99,9 +105,21 @@ def _adaptive_update(w, step, v, v_scale, tmp):
     w -= step
 
 
-class _SolverState:
-    """Shared step-counting, scratch and weight-decay plumbing."""
+def _momentum_update(w, d, buf, momentum, lr, out):
+    """w -= lr * buf with buf = momentum * buf + d, in place; w -= lr * d
+    when there is no momentum. out may be d."""
+    if momentum:
+        buf *= momentum
+        buf += d
+        d = buf
+    np.multiply(d, lr, out=out)
+    w -= out
 
+
+class _SolverState:
+    """Shared step-counting, state, scratch and weight-decay plumbing."""
+
+    SLOTS = ()  # per-tensor state arrays of the rule, zero at the start
     SCRATCH = 2  # work arrays per tensor that the rule's _apply receives
 
     def __init__(self, params, shapes):
@@ -111,8 +129,9 @@ class _SolverState:
         for key in ("beta1", "beta2"):
             if key in self.p:
                 self.p[key] = min(self.p[key], 1.0 - 1e-8)
-        self.shapes = shapes
         self.t = 0
+        for name in self.SLOTS:
+            setattr(self, name, [np.zeros(s) for s in shapes])
         self.scratch = [tuple(np.empty(s) for _ in range(self.SCRATCH))
                         for s in shapes]
 
@@ -140,38 +159,36 @@ class _SolverState:
 
 
 class _Moments(_SolverState):
-    """First moment m and second statistic v, as the Adam family keeps."""
+    """The Adam family: each rule decays the gradient, moves the first
+    moment m and the second statistic v, then takes its own _step."""
 
     CONSUMED = frozenset({"learning_rate", "beta1", "beta2", "weight_decay"})
+    SLOTS = ("m", "v")
+    _second = staticmethod(_ema_sq)  # how v follows the gradient
 
-    def __init__(self, params, shapes):
-        super().__init__(params, shapes)
-        self.m = _zeros(shapes)
-        self.v = _zeros(shapes)
+    def _apply(self, i, w, g, s1, s2):
+        g = self._decayed(w, g, s1)
+        _ema(self.m[i], self.p["beta1"], g, s2)
+        self._second(self.v[i], self.p["beta2"], g, s2)
+        self._step(i, w, g, s1, s2)
+
+    def _adam_step(self, i, w, lr, s1, s2):
+        """w -= lr * m_hat / (sqrt(v_hat) + EPS), bias-corrected."""
+        np.divide(self.m[i], 1 - self.p["beta1"] ** self.t, out=s1)
+        s1 *= lr
+        _adaptive_update(w, s1, self.v[i], 1 - self.p["beta2"] ** self.t, s2)
 
 
 class Adam(_Moments):
-    def _apply(self, i, w, g, s1, s2):
-        self._adam(i, w, self._decayed(w, g, s1), s1, s2)
-
-    def _adam(self, i, w, g, s1, s2):
-        lr, b1, b2 = self.p["learning_rate"], self.p["beta1"], self.p["beta2"]
-        _ema(self.m[i], b1, g, s2)
-        _ema_sq(self.v[i], b2, g, s2)
-        np.divide(self.m[i], 1 - b1 ** self.t, out=s1)
-        s1 *= lr
-        _adaptive_update(w, s1, self.v[i], 1 - b2 ** self.t, s2)
+    def _step(self, i, w, g, s1, s2):
+        self._adam_step(i, w, self.p["learning_rate"], s1, s2)
 
 
 class Adadelta(_SolverState):
     """"rho" is the decay of both running averages."""
 
     CONSUMED = frozenset({"learning_rate", "rho", "weight_decay"})
-
-    def __init__(self, params, shapes):
-        super().__init__(params, shapes)
-        self.sq_avg = _zeros(shapes)
-        self.acc_delta = _zeros(shapes)
+    SLOTS = ("sq_avg", "acc_delta")
 
     def _apply(self, i, w, g, s1, s2):
         lr, rho = self.p["learning_rate"], self.p["rho"]
@@ -192,24 +209,22 @@ class Adadelta(_SolverState):
 class AdamW(Adam):
     """Adam with the weight decay decoupled from the moments."""
 
-    def _apply(self, i, w, g, s1, s2):
+    def _decayed(self, param, grad, out):
+        """Shrinks param by lr * weight_decay; grad is left as it is."""
         wd = self.p["weight_decay"]
         if wd:
-            w *= 1 - self.p["learning_rate"] * wd
-        self._adam(i, w, g, s1, s2)
+            param *= 1 - self.p["learning_rate"] * wd
+        return grad
 
 
 class Adamax(_Moments):
     """Adam's infinity-norm variant: v is a running max of |g|."""
 
-    def _apply(self, i, w, g, s1, s2):
-        lr, b1, b2 = self.p["learning_rate"], self.p["beta1"], self.p["beta2"]
-        g = self._decayed(w, g, s1)
-        _ema(self.m[i], b1, g, s2)
-        self.v[i] *= b2
-        np.abs(g, out=s2)
-        np.maximum(self.v[i], s2, out=self.v[i])
-        np.multiply(self.m[i], lr / (1 - b1 ** self.t), out=s1)
+    _second = staticmethod(_running_max)
+
+    def _step(self, i, w, g, s1, s2):
+        np.multiply(self.m[i], self.p["learning_rate"]
+                    / (1 - self.p["beta1"] ** self.t), out=s1)
         np.add(self.v[i], EPS, out=s2)
         s1 /= s2
         w -= s1
@@ -250,11 +265,7 @@ class NAdam(_Moments):
         self.mu_next = b1 * (1 - 0.5 * 0.96 ** ((self.t + 1) * psi))
         self.mu_prod *= self.mu_t
 
-    def _apply(self, i, w, g, s1, s2):
-        lr, b1, b2 = self.p["learning_rate"], self.p["beta1"], self.p["beta2"]
-        g = self._decayed(w, g, s1)
-        _ema(self.m[i], b1, g, s2)
-        _ema_sq(self.v[i], b2, g, s2)
+    def _step(self, i, w, g, s1, s2):
         # m_hat = mu_next * m / (1 - mu_prod * mu_next)
         #         + (1 - mu_t) * g / (1 - mu_prod), into s2
         np.multiply(g, 1 - self.mu_t, out=s1)
@@ -262,28 +273,24 @@ class NAdam(_Moments):
         np.multiply(self.m[i], self.mu_next, out=s2)
         s2 /= 1 - self.mu_prod * self.mu_next
         s2 += s1
-        s2 *= lr
-        _adaptive_update(w, s2, self.v[i], 1 - b2 ** self.t, s1)
+        s2 *= self.p["learning_rate"]
+        _adaptive_update(w, s2, self.v[i], 1 - self.p["beta2"] ** self.t, s1)
 
 
 class RAdam(_Moments):
     """Rectified Adam: falls back to un-adapted steps while the variance
     estimate is untrustworthy (rho_t <= 5, as in the reference code)."""
 
-    def _apply(self, i, w, g, s1, s2):
+    def _step(self, i, w, g, s1, s2):
         lr, b1, b2 = self.p["learning_rate"], self.p["beta1"], self.p["beta2"]
-        g = self._decayed(w, g, s1)
-        _ema(self.m[i], b1, g, s2)
-        _ema_sq(self.v[i], b2, g, s2)
-        np.divide(self.m[i], 1 - b1 ** self.t, out=s1)
         rho_inf = 2 / (1 - b2) - 1
         rho_t = rho_inf - 2 * self.t * b2 ** self.t / (1 - b2 ** self.t)
         if rho_t > 5:
             r = np.sqrt((rho_t - 4) * (rho_t - 2) * rho_inf
                         / ((rho_inf - 4) * (rho_inf - 2) * rho_t))
-            s1 *= lr * r
-            _adaptive_update(w, s1, self.v[i], 1 - b2 ** self.t, s2)
+            self._adam_step(i, w, lr * r, s1, s2)
         else:
+            np.divide(self.m[i], 1 - b1 ** self.t, out=s1)
             s1 *= lr
             w -= s1
 
@@ -292,27 +299,16 @@ class RMSprop(_SolverState):
     """"rho" acts as the squared-gradient smoothing constant here."""
 
     CONSUMED = frozenset({"learning_rate", "rho", "momentum", "weight_decay"})
-
-    def __init__(self, params, shapes):
-        super().__init__(params, shapes)
-        self.sq_avg = _zeros(shapes)
-        self.buf = _zeros(shapes)
+    SLOTS = ("sq_avg", "buf")
 
     def _apply(self, i, w, g, s1, s2):
-        lr, rho, mom = (self.p["learning_rate"], self.p["rho"],
-                        self.p["momentum"])
         g = self._decayed(w, g, s1)
-        _ema_sq(self.sq_avg[i], rho, g, s2)
+        _ema_sq(self.sq_avg[i], self.p["rho"], g, s2)
         np.sqrt(self.sq_avg[i], out=s2)
         s2 += EPS
         np.divide(g, s2, out=s1)
-        if mom:
-            self.buf[i] *= mom
-            self.buf[i] += s1
-            np.multiply(self.buf[i], lr, out=s1)
-        else:
-            s1 *= lr
-        w -= s1
+        _momentum_update(w, s1, self.buf[i], self.p["momentum"],
+                         self.p["learning_rate"], s1)
 
 
 class Rprop(_SolverState):
@@ -328,6 +324,7 @@ class Rprop(_SolverState):
     temporary longer than a chunk."""
 
     CONSUMED = frozenset({"learning_rate"})
+    SLOTS = ("prev_grad",)
     ETA_PLUS = 1.2
     ETA_MINUS = 0.5
     STEP_MIN = 1e-6
@@ -338,7 +335,6 @@ class Rprop(_SolverState):
     def __init__(self, params, shapes):
         super().__init__(params, shapes)
         self.step_size = [np.full(s, params["learning_rate"]) for s in shapes]
-        self.prev_grad = _zeros(shapes)
 
     def _apply(self, i, w, g, s1):
         step, prev = self.step_size[i], self.prev_grad[i]
@@ -365,22 +361,12 @@ class Rprop(_SolverState):
 
 class SGD(_SolverState):
     CONSUMED = frozenset({"learning_rate", "momentum", "weight_decay"})
+    SLOTS = ("buf",)
     SCRATCH = 1
 
-    def __init__(self, params, shapes):
-        super().__init__(params, shapes)
-        self.buf = _zeros(shapes)
-
     def _apply(self, i, w, g, s1):
-        lr, mom = self.p["learning_rate"], self.p["momentum"]
-        g = self._decayed(w, g, s1)
-        if mom:
-            self.buf[i] *= mom
-            self.buf[i] += g
-            np.multiply(self.buf[i], lr, out=s1)
-        else:
-            np.multiply(g, lr, out=s1)
-        w -= s1
+        _momentum_update(w, self._decayed(w, g, s1), self.buf[i],
+                         self.p["momentum"], self.p["learning_rate"], s1)
 
 
 RULES = (Adam, Adadelta, AdamW, Adamax, ASGD, NAdam, RAdam, RMSprop, Rprop,

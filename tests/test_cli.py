@@ -323,6 +323,10 @@ def test_max_layers_beyond_space_exits_2(tmp_path, capsys):
     {"dataset": {"type": "synthetic", "n": 60, "p": 4, "classes": 3,
                  "separation": float("inf")}},
     {"dataset": {"type": "csv", "path": "non_finite.csv"}},
+    {"dataset": {"type": "csv", "path": "finite.csv", "n": 999,
+                 "seed": 3}},
+    {"dataset": {"type": "synthetic", "n": 60, "p": 4, "classes": 3,
+                 "path": "finite.csv"}},
 ], ids=["population-3", "budget-below-population", "neuron-min-above-max",
         "fewer-rows-than-folds", "folds-string", "batch-size-0",
         "repeats-string", "missing-rates-scalar", "missing-rates-string",
@@ -334,17 +338,21 @@ def test_max_layers_beyond_space_exits_2(tmp_path, capsys):
         "algorithms-empty", "missing-rates-empty", "algorithms-duplicate",
         "algorithms-duplicate-spelling", "missing-rates-duplicate",
         "missing-rates-duplicate-int", "jobs-0", "jobs-negative",
-        "separation-nan", "separation-inf", "csv-non-finite-feature"])
+        "separation-nan", "separation-inf", "csv-non-finite-feature",
+        "csv-with-synthetic-keys", "synthetic-with-path"])
 def test_bad_config_exits_2_before_work(tmp_path, capsys, overrides):
     overrides = dict(overrides)
     flags = overrides.pop("flags", [])  # command-line flags, not config
-    # well-separated rows but for one nan and one inf cell
-    (tmp_path / "non_finite.csv").write_text(
-        "f0,f1,label\n" + "".join(
-            f"{v},{w},{label}\n" for label, v, w in (
-                ("safe", 0.0, 0.0), ("safe", "nan", 0.1),
-                ("warning", 5.0, 5.0), ("warning", 5.1, "inf"),
-                ("critical", 10.0, 10.0), ("critical", 10.1, 10.1))))
+    # well-separated rows but for one nan and one inf cell, and the same
+    # rows with those two cells finite
+    rows = "f0,f1,label\n" + "".join(
+        f"{v},{w},{label}\n" for label, v, w in (
+            ("safe", 0.0, 0.0), ("safe", "nan", 0.1),
+            ("warning", 5.0, 5.0), ("warning", 5.1, "inf"),
+            ("critical", 10.0, 10.0), ("critical", 10.1, 10.1)))
+    (tmp_path / "non_finite.csv").write_text(rows)
+    (tmp_path / "finite.csv").write_text(
+        rows.replace("nan", "0.2").replace("inf", "5.2"))
     cfg = tiny_config(tmp_path, **overrides)
     out = tmp_path / "b"
     code = main(["benchmark", "--config", str(cfg), "--out", str(out),
@@ -550,6 +558,11 @@ _BAD_RESULTS_LINES = {
     "not_an_object": lambda r: json.dumps([r]),
     "truncated": lambda r: json.dumps(r)[:40],
     "duplicate_cell": lambda r: json.dumps(r),
+    # a cell of its own, so only the non-finite score can reject the line
+    "nan_accuracy": lambda r: json.dumps(
+        dict(r, repeat=r["repeat"] + 1, accuracy=float("nan"))),
+    "infinite_fitness": lambda r: json.dumps(
+        dict(r, repeat=r["repeat"] + 1, fitness=float("inf"))),
 }
 
 

@@ -366,7 +366,7 @@ def test_dataset_leaves_the_callers_arrays_writable():
     X, y = np.zeros((6, 2)), np.arange(6) % 3
     ds = LabeledDataset(X=X, y=y, feature_names=["a", "b"])
     X[0, 0], y[0] = 1.0, 2
-    assert ds.X[0, 0] == 1.0 and ds.y[0] == 2  # views, not copies
+    assert ds.X[0, 0] == 0.0 and ds.y[0] == 0  # copies, not views
     assert not (ds.X.flags.writeable or ds.y.flags.writeable
                 or ds.M.flags.writeable)
 

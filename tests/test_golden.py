@@ -19,7 +19,12 @@ two configs against digests kept in golden_digests.json:
 - "masked": the masked CLI path, `inject-missing --rate 0.2` on a fixed
   dataset CSV and then `search --deterministic --data masked.csv --mask
   mask.csv` on the small config; the digest covers `masked.csv`,
-  `mask.csv` and `run.json`.
+  `mask.csv` and `run.json`;
+- "solvers": the parameters after every step of each of the 10 update
+  rules, on a list of three tensors and on one (2, 50) stack, over a grid
+  of hyperparameters with weight decay and momentum both 0 and > 0 and
+  betas up to 1.0 (the clamp), under gradients that are all zero every
+  few steps (Rprop's skip; RAdam's early steps are unrectified anyway).
 
 The digests depend on the floating-point library underneath, so the
 file records the NumPy version and BLAS they were taken with, and a
@@ -28,6 +33,7 @@ digests, says so, and re-passes acceptance criteria 8b and 8c.
 """
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -38,6 +44,7 @@ from evomlp import objective
 from evomlp.cli import load_config, load_dataset, main
 from evomlp.data import synthesize, write_dataset_csv
 from evomlp.pbmh import ALGORITHM_NAMES, minimize
+from evomlp.solvers import CONSUMED, SolverSpec, make_solver
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_digests.json")
                     .read_text())
@@ -72,6 +79,27 @@ def _blas():
 # budget, once cold and once from PBMH_WARM_START
 PBMH_RUNS = ((4, 4), (4, 9), (6, 10), (10, 13), (10, 64), (10, 301))
 PBMH_WARM_START = np.linspace(-4.5, 4.5, 10)
+
+
+# hyperparameter values of the "solvers" digest; each rule runs on every
+# combination of the values of the genes it consumes
+SOLVER_GRID = {"learning_rate": (0.05,), "weight_decay": (0.0, 0.03),
+               "momentum": (0.0, 0.6), "rho": (0.9,), "lambda": (0.3,)}
+SOLVER_BETAS = ((0.9, 0.999), (0.8, 1.0), (1.0, 0.8))
+SOLVER_SHAPES = ([(3, 4), (4,), (7,)], [(2, 50)])
+SOLVER_STEPS = 40
+SOLVER_ZERO_EVERY = 8  # every 8th gradient is all zeros
+
+
+def _solver_cases(solver_id):
+    consumed = CONSUMED[solver_id]
+    keys = sorted(consumed & SOLVER_GRID.keys())
+    betas = SOLVER_BETAS if "beta1" in consumed else [()]
+    for values in itertools.product(*(SOLVER_GRID[k] for k in keys)):
+        for beta in betas:
+            case = dict(zip(keys, values))
+            case.update(zip(("beta1", "beta2"), beta))
+            yield case
 
 
 def _rastrigin(x):
@@ -175,3 +203,24 @@ def test_masked_search_matches_golden(tmp_path):
                  out / "run.json"):
         digest.update(path.read_bytes())
     _assert_golden("masked", digest.hexdigest())
+
+
+def test_solvers_match_golden():
+    digest = hashlib.sha256()
+    for solver_id in CONSUMED:
+        for params in _solver_cases(solver_id):
+            assert set(params) == CONSUMED[solver_id]
+            for shapes in SOLVER_SHAPES:
+                solver = make_solver(SolverSpec(solver_id, params), shapes)
+                rng = np.random.default_rng(solver_id)
+                ws = [rng.standard_normal(s) for s in shapes]
+                for t in range(1, SOLVER_STEPS + 1):
+                    grads = [0.5 * w + rng.standard_normal(w.shape)
+                             for w in ws]
+                    if t % SOLVER_ZERO_EVERY == 0:
+                        grads = [np.zeros_like(w) for w in ws]
+                    solver.step(ws, grads)
+                    assert all(np.isfinite(w).all() for w in ws)
+                    for w in ws:
+                        digest.update(w.tobytes())
+    _assert_golden("solvers", digest.hexdigest())
