@@ -34,10 +34,9 @@ records = run_benchmark(ds, cfg, out_path=str(out / "results.jsonl"),
 print(f"benchmark: {len(records)} runs")
 
 comparison = compare(records, alpha=0.05)
-for row in comparison.summary:
-    print(f"  rate={row['missing_rate']:.1f} {row['algorithm']:8s} "
-          f"accuracy {row['accuracy_mean']:6.2f} +- "
-          f"{row['accuracy_std']:.2f}")
+for rate, alg, acc_mean, acc_std, *_ in comparison.summary:
+    print(f"  rate={rate:.1f} {alg:8s} accuracy {acc_mean:6.2f} +- "
+          f"{acc_std:.2f}")
 
 fried = comparison.friedman
 print(f"\nFriedman: chi2={fried['chi2']:.3f} p={fried['p_value']:.3f} "

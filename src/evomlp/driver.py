@@ -53,17 +53,19 @@ class SearchConfig:
             raise ConfigError(
                 f"missing_rates {bad} are not numbers in "
                 f"[0, {MAX_MISSING_RATE}]")
-        # an unknown algorithm is kept as given: its cells fail alone
-        for key, values in (
-                ("algorithms", [_known_or_given(a) for a in self.algorithms]),
-                ("missing_rates", self.missing_rates)):
+        # "de" and "DE", 0 and 0.0 name one experiment: the cell seeds
+        # hash the algorithm and repr(rate); an unknown algorithm is kept
+        # as given, so its cells fail alone
+        object.__setattr__(self, "algorithms",
+                           tuple(_known_or_given(a) for a in self.algorithms))
+        object.__setattr__(self, "missing_rates",
+                           tuple(float(rate) for rate in self.missing_rates))
+        for key in ("algorithms", "missing_rates"):
+            values = getattr(self, key)
             if not values:
                 raise ConfigError(f"{key} must not be empty")
             if len(set(values)) < len(values):
                 raise ConfigError(f"{key} {list(values)} repeat an entry")
-        # 0 and 0.0 name one experiment: the cell seeds hash repr(rate)
-        object.__setattr__(self, "missing_rates",
-                           tuple(float(rate) for rate in self.missing_rates))
 
 
 def _known_or_given(algorithm):
@@ -101,9 +103,11 @@ class RunRecord:
         """The record a parsed results line holds; ValueError for a key
         that is missing or unknown, a value of another type than its
         field's, or a float that is not finite (json reads NaN and
-        Infinity). The scores may be None only in an error record."""
+        Infinity). The scores may be None only in an error record; the
+        float fields hold floats, an int in the line read as its float."""
         if not isinstance(d, dict):
             raise ValueError("a record must be a JSON object")
+        d = dict(d)
         known = {f.name: f for f in fields(cls)}
         required = {name for name, f in known.items() if f.default is MISSING}
         for what, keys in (("unknown", set(d) - set(known)),
@@ -119,8 +123,13 @@ class RunRecord:
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise ValueError(f"{name} {value!r} is not a "
                                  f"{f.type.__name__}")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{name} {value!r} is not finite")
+            if f.type is float:  # 0 and 0.0 name one rate, one score
+                try:
+                    d[name] = value = float(value)
+                except OverflowError:  # an int beyond the float range
+                    value = math.inf
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} {d[name]!r} is not finite")
         return cls(**d)
 
 

@@ -1,16 +1,18 @@
 """Aggregation of benchmark records into tables and a chart.
 
-Produces the per-condition summary (mean/std of accuracy and F-measure
-over repeats), the comparison of the algorithms (`compare`: Friedman
-ranks, pairwise Wilcoxon verdicts, win/tie/loss and stability), the
-found-architecture tables, and a static SVG bar chart of mean accuracy
-per algorithm. Every table is written by `write_csv` and every JSON
-document by `write_json`.
+The clean (non-error) records are grouped once, by `cells`, into one
+cell per (algorithm, missing rate): rates ascending, then algorithms in
+order of first appearance among the clean records, each cell's records
+in file order. That map feeds the per-condition summary (mean/std of
+accuracy and F-measure over repeats), the comparison of the algorithms
+(`compare`: Friedman ranks, pairwise Wilcoxon verdicts, win/tie/loss and
+stability) and the found-architecture tables. A static SVG bar chart
+shows mean accuracy per algorithm. Every table is written by
+`write_csv` and every JSON document by `write_json`.
 """
 
 import csv
 import json
-from collections import defaultdict
 from typing import NamedTuple
 
 import numpy as np
@@ -32,49 +34,26 @@ def write_json(path, obj):
         fh.write("\n")
 
 
-def group_scores(records):
-    """{(algorithm, rate): {"accuracy": [...], "f_measure": [...]}}
-    over repeats, error records excluded."""
-    groups = defaultdict(lambda: {"accuracy": [], "f_measure": []})
-    for r in records:
-        if r.error:
-            continue
-        cell = groups[(r.algorithm, r.missing_rate)]
-        cell["accuracy"].append(r.accuracy)
-        cell["f_measure"].append(r.f_measure)
-    return dict(groups)
-
-
 def algorithms_in(records):
-    return list(dict.fromkeys(r.algorithm for r in records))
+    """The algorithms of the clean records, in order of first appearance."""
+    return list(dict.fromkeys(r.algorithm for r in records if not r.error))
 
 
-def rates_in(records):
-    return sorted({r.missing_rate for r in records})
+def cells(records):
+    """{(algorithm, rate): [records]} of the clean records, in output
+    order: rates ascending, then algorithms_in order; each cell keeps its
+    records in file order."""
+    rank = {alg: i for i, alg in enumerate(algorithms_in(records))}
+    table = {}
+    for r in sorted((r for r in records if not r.error),
+                    key=lambda r: (r.missing_rate, rank[r.algorithm])):
+        table.setdefault((r.algorithm, r.missing_rate), []).append(r)
+    return table
 
 
-def summary_rows(records):
-    """Paper-shaped summary: one row per (rate, algorithm) with
-    Mean/Std columns for both metrics."""
-    groups = group_scores(records)
-    rows = []
-    for rate in rates_in(records):
-        for alg in algorithms_in(records):
-            cell = groups.get((alg, rate))
-            if not cell:
-                continue
-            acc = np.array(cell["accuracy"])
-            f1 = np.array(cell["f_measure"])
-            rows.append({
-                "missing_rate": rate,
-                "algorithm": alg,
-                "accuracy_mean": float(acc.mean()),
-                "accuracy_std": float(acc.std()),
-                "f_measure_mean": float(f1.mean()),
-                "f_measure_std": float(f1.std()),
-                "repeats": acc.size,
-            })
-    return rows
+SUMMARY_HEADER = ["missing_rate", "algorithm", "accuracy_mean",
+                  "accuracy_std", "f_measure_mean", "f_measure_std",
+                  "repeats"]
 
 
 class Comparison(NamedTuple):
@@ -82,7 +61,7 @@ class Comparison(NamedTuple):
     `compare`. Lists follow `algorithms` order."""
 
     algorithms: list
-    summary: list  # summary_rows of the clean records
+    summary: list  # a row per cell, unformatted, under SUMMARY_HEADER
     friedman: dict  # stats.friedman, with its treatments and blocks
     verdicts: list  # stats.pairwise_verdicts
     wins_ties_losses: list
@@ -94,14 +73,9 @@ class Comparison(NamedTuple):
         names = self.algorithms
         return {
             "summary.csv": (
-                ["missing_rate", "algorithm", "accuracy_mean",
-                 "accuracy_std", "f_measure_mean", "f_measure_std",
-                 "repeats"],
-                [[row["missing_rate"], row["algorithm"],
-                  f"{row['accuracy_mean']:.2f}", f"{row['accuracy_std']:.2f}",
-                  f"{row['f_measure_mean']:.2f}",
-                  f"{row['f_measure_std']:.2f}", row["repeats"]]
-                 for row in self.summary]),
+                SUMMARY_HEADER,
+                [[rate, alg, *(f"{v:.2f}" for v in scores), repeats]
+                 for rate, alg, *scores, repeats in self.summary]),
             "wilcoxon_matrix.csv": (
                 ["algorithm", *names],
                 [[name, *(stats.VERDICT_SYMBOL[cell] for cell in row)]
@@ -127,27 +101,32 @@ def compare(records, alpha):
     over those rates, given for two rates or more. ConfigError when fewer
     than two algorithms or no such rate remain.
     """
-    clean = [r for r in records if not r.error]
-    algorithms = algorithms_in(clean)
+    algorithms = algorithms_in(records)
     if len(algorithms) < 2:
         raise ConfigError("need results for at least 2 algorithms")
-    summary = summary_rows(clean)
-    mean_acc = {(row["algorithm"], row["missing_rate"]): row["accuracy_mean"]
-                for row in summary}
-    rates = [rate for rate in rates_in(clean)
-             if all((alg, rate) in mean_acc for alg in algorithms)]
+    table = cells(records)
+    accuracy = {key: np.array([r.accuracy for r in cell])
+                for key, cell in table.items()}
+    summary = []
+    for (alg, rate), cell in table.items():
+        f_measure = np.array([r.f_measure for r in cell])
+        summary.append([rate, alg, float(accuracy[alg, rate].mean()),
+                        float(accuracy[alg, rate].std()),
+                        float(f_measure.mean()), float(f_measure.std()),
+                        len(cell)])
+    rates = [rate for rate in dict.fromkeys(rate for _, rate in table)
+             if all((alg, rate) in table for alg in algorithms)]
     if not rates:
         raise ConfigError("no missing rate has results for every algorithm")
-    by_rate = [[mean_acc[(alg, rate)] for alg in algorithms]
+    by_rate = [[float(accuracy[alg, rate].mean()) for alg in algorithms]
                for rate in rates]
-    accuracy = {(r.algorithm, r.missing_rate, r.repeat): r.accuracy
-                for r in clean}
-    cells = sorted(set.intersection(*(
-        {(rate, rep) for a, rate, rep in accuracy if a == alg}
-        for alg in algorithms)))
+    by_repeat = {key: {r.repeat: r.accuracy for r in cell}
+                 for key, cell in table.items()}
+    paired = [(rate, rep) for rate in rates for rep in sorted(set.intersection(
+        *(set(by_repeat[alg, rate]) for alg in algorithms)))]
     verdicts = stats.pairwise_verdicts(
-        [[accuracy[(alg, *cell)] for cell in cells] for alg in algorithms],
-        alpha)
+        [[by_repeat[alg, rate][rep] for rate, rep in paired]
+         for alg in algorithms], alpha)
     return Comparison(
         algorithms, summary,
         dict(stats.friedman(by_rate, alpha), treatments=algorithms,
@@ -162,27 +141,20 @@ ARCHITECTURE_HEADER = ["algorithm", "structure", "learning_rate", "solver"]
 
 def best_architectures(records):
     """{rate: [(algorithm, structure, learning_rate, solver_name)]} using
-    each cell's lowest-fitness repeat, formatted as written under
-    ARCHITECTURE_HEADER."""
-    best = {}
-    for r in records:
-        if r.error:
-            continue
-        key = (r.algorithm, r.missing_rate)
-        if key not in best or r.fitness < best[key].fitness:
-            best[key] = r
-    tables = defaultdict(list)
-    for (alg, rate), r in sorted(best.items(),
-                                 key=lambda kv: (kv[0][1], kv[0][0])):
-        arch = r.architecture
+    each cell's lowest-fitness repeat (the first in the file on a tie),
+    algorithms by name, formatted as written under ARCHITECTURE_HEADER."""
+    table = cells(records)
+    tables = {}
+    for alg, rate in sorted(table, key=lambda key: (key[1], key[0])):
+        arch = min(table[alg, rate], key=lambda r: r.fitness).architecture
         lr = arch.get("learning_rate")
-        tables[rate].append((
+        tables.setdefault(rate, []).append((
             alg,
             str(arch.get("hidden_layer_sizes", [])),
             "" if lr is None else f"{lr:.4f}",
             arch.get("solver_name"),
         ))
-    return dict(tables)
+    return tables
 
 
 def _svg_escape(text):
@@ -191,9 +163,9 @@ def _svg_escape(text):
 
 
 def accuracy_bar_chart(records):
-    """Static SVG: one bar per algorithm, height = mean accuracy over
-    every clean record of that algorithm."""
-    algs = algorithms_in(records)
+    """Static SVG: one bar per algorithm of the records, height = mean
+    accuracy over its clean records in file order (0 when it has none)."""
+    algs = list(dict.fromkeys(r.algorithm for r in records))
     means = []
     for alg in algs:
         accs = [r.accuracy for r in records

@@ -548,6 +548,30 @@ def test_stats_and_report_idempotent_bytes(bench_dir, tmp_path):
             == (dirs[1][1] / fname).read_bytes(), fname
 
 
+def test_integral_floats_read_as_floats(bench_dir, tmp_path):
+    # json writes a float 0.0 as 0.0 and an int 0 as 0; both name one rate
+    records = [json.loads(line) for line
+               in (bench_dir / "results.jsonl").read_text().splitlines()]
+    records[0].update(fitness=25.0, accuracy=75.0, f_measure=60.0)
+    outputs = []
+    for kind in (float, int):
+        run = tmp_path / kind.__name__
+        run.mkdir()
+        results = run / "results.jsonl"
+        results.write_text("".join(json.dumps(dict(r, **{
+            key: kind(value) for key, value in r.items()
+            if isinstance(value, float) and value.is_integer()}),
+            sort_keys=True) + "\n" for r in records))
+        for command in ("stats", "report"):
+            assert main([command, "--results", str(results),
+                         "--out", str(run / command)]) == 0
+        outputs.append({path.relative_to(run).as_posix(): path.read_bytes()
+                        for path in run.glob("*/*")})
+    assert b'"missing_rate": 0,' in (tmp_path / "int" / "results.jsonl"
+                                    ).read_bytes()
+    assert outputs[0] == outputs[1]
+
+
 # a results line that is not a RunRecord, made from a good one
 _BAD_RESULTS_LINES = {
     "missing_keys": lambda r: json.dumps({"algorithm": "DE"}),
@@ -563,6 +587,8 @@ _BAD_RESULTS_LINES = {
         dict(r, repeat=r["repeat"] + 1, accuracy=float("nan"))),
     "infinite_fitness": lambda r: json.dumps(
         dict(r, repeat=r["repeat"] + 1, fitness=float("inf"))),
+    "overflowing_fitness": lambda r: json.dumps(
+        dict(r, repeat=r["repeat"] + 1, fitness=10 ** 400)),
 }
 
 

@@ -137,6 +137,15 @@ def test_benchmark_deterministic_reproduces_accuracy(blob_data):
     assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
 
 
+def test_benchmark_one_name_per_algorithm(blob_data):
+    # the cell seeds hash the algorithm's name, so "de" must become "DE"
+    runs = [[r.to_dict() for r in run_benchmark(
+        blob_data, tiny_config(repeats=1, missing_rates=(0.4,),
+                               algorithms=names), deterministic=True)]
+        for names in (("de", "cmaes"), ("DE", "CMA-ES"))]
+    assert runs[0] == runs[1]
+
+
 def test_benchmark_failed_cell_recorded_and_skipped(blob_data):
     cfg = tiny_config(algorithms=("DE", "bogus"), repeats=1)
     records = run_benchmark(blob_data, cfg, deterministic=True)

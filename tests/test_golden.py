@@ -13,6 +13,9 @@ two configs against digests kept in golden_digests.json:
 - "desk_outputs": the rest of that run's deterministic output, its
   `manifest.json` (which echoes every algorithm's constants) and every
   file of its `stats/` and `report/` directories, in sorted order;
+- "comparison_outputs": every file `stats` and `report` write for a
+  hand-built results file out of grid order (see `_comparison_lines`),
+  where the rules that pick, group and order the records disagree;
 - "pbmh": the traces and incumbents of `minimize` for all 13 optimizers
   on a 10-D Rastrigin, at budgets that end on and within a generation
   (CMA-ES's truncated one included), each run cold and warm-started;
@@ -102,6 +105,65 @@ def _solver_cases(solver_id):
             yield case
 
 
+# the algorithms of the "comparison_outputs" results file; GA has error
+# records only
+COMPARISON_ALGORITHMS = ("PSO", "DE", "CMA-ES", "GA")
+COMPARISON_RATES = (0.0, 0.2, 0.4)
+COMPARISON_REPEATS = 4
+COMPARISON_SEED = 256
+COMPARISON_SOLVERS = ("SGD", "Adam", "RMSprop", "Rprop")
+
+
+def _comparison_lines():
+    """The records of a results file whose lines are out of grid order:
+
+    - GA has error records only, and one is the first line;
+    - a CMA-ES error record (rate 0.0, repeat 1) is the second line, so
+      CMA-ES comes before PSO and DE among all records but after PSO
+      among the clean ones, and its first clean record is at rate 0.4;
+    - DE has no clean record at rate 0.2, so Friedman drops that block;
+    - PSO has no repeat 2 at rate 0.0, and CMA-ES's repeat 1 there failed;
+    - DE's repeats 3 and 1 at rate 0.4 tie on the cell's lowest fitness,
+      repeat 3 on the earlier line.
+
+    The other lines follow a seeded shuffle; scores and architectures
+    are seeded draws at full float precision.
+    """
+    rng = np.random.default_rng(COMPARISON_SEED)
+    records = {}
+    for alg in COMPARISON_ALGORITHMS:
+        for rate in COMPARISON_RATES:
+            for rep in range(COMPARISON_REPEATS):
+                if (alg, rate, rep) == ("PSO", 0.0, 2):
+                    continue
+                record = {
+                    "algorithm": alg, "missing_rate": rate, "repeat": rep,
+                    "fitness": float(rng.uniform(5, 50)),
+                    "accuracy": float(rng.uniform(50, 95)),
+                    "f_measure": float(rng.uniform(40, 95)),
+                    "architecture": {
+                        "hidden_layer_sizes":
+                            rng.integers(1, 64, rng.integers(1, 3)).tolist(),
+                        "learning_rate": float(rng.uniform(1e-3, 0.1)),
+                        "solver_name": str(rng.choice(COMPARISON_SOLVERS))},
+                    "genome": {}, "stage_traces": [], "n_evaluations": 20,
+                    "seed": int(rng.integers(2 ** 31))}
+                if alg == "GA" or (alg, rate) == ("DE", 0.2) \
+                        or (alg, rate, rep) == ("CMA-ES", 0.0, 1):
+                    record.update(fitness=None, accuracy=None,
+                                  f_measure=None, architecture={},
+                                  n_evaluations=0,
+                                  error="RuntimeError: failed")
+                records[(alg, rate, rep)] = record
+    tie = min(records[("DE", 0.4, rep)]["fitness"]
+              for rep in range(COMPARISON_REPEATS)) - 1.0
+    for rep in (1, 3):
+        records[("DE", 0.4, rep)]["fitness"] = tie
+    pinned = [records.pop(("GA", 0.4, 0)), records.pop(("CMA-ES", 0.0, 1))]
+    rest = list(records.values())
+    return pinned + [rest[i] for i in rng.permutation(len(rest))]
+
+
 def _rastrigin(x):
     return float(10 * x.size + np.sum(x * x - 10 * np.cos(2 * np.pi * x)))
 
@@ -158,16 +220,48 @@ def test_desk_run_matches_golden(desk_run):
     _assert_golden("desk", _file_digest(desk_run["bench"] / "results.jsonl"))
 
 
+def _update_with_files(digest, directory):
+    for path in sorted(directory.rglob("*")):
+        if path.is_file():
+            digest.update(path.relative_to(directory).as_posix().encode())
+            digest.update(path.read_bytes())
+
+
 def test_desk_outputs_match_golden(desk_run):
     digest = hashlib.sha256()
     digest.update((desk_run["bench"] / "manifest.json").read_bytes())
     for directory in (desk_run["stats"], desk_run["report"]):
-        for path in sorted(directory.rglob("*")):
-            if path.is_file():
-                digest.update(path.relative_to(directory).as_posix()
-                              .encode())
-                digest.update(path.read_bytes())
+        _update_with_files(digest, directory)
     _assert_golden("desk_outputs", digest.hexdigest())
+
+
+def test_comparison_outputs_match_golden(tmp_path):
+    lines = _comparison_lines()
+    key = [(r["algorithm"], r["missing_rate"], r["repeat"]) for r in lines]
+    clean = [k for k, r in zip(key, lines) if not r.get("error")]
+    # the shape _comparison_lines promises, in which every ordering rule
+    # of `stats` and `report` gives a different order
+    assert len(lines) == 47 and key[:2] == [("GA", 0.4, 0), ("CMA-ES", 0.0, 1)]
+    assert list(dict.fromkeys(a for a, _, _ in clean)) == ["PSO", "CMA-ES",
+                                                           "DE"]
+    assert list(dict.fromkeys(rate for _, rate, _ in clean)) == [0.2, 0.4,
+                                                                 0.0]
+    assert next(rate for a, rate, _ in clean if a == "CMA-ES") == 0.4
+    assert not any(a == "DE" and rate == 0.2 for a, rate, _ in clean)
+    de = [(rep, r["fitness"]) for (a, rate, rep), r in zip(key, lines)
+          if (a, rate) == ("DE", 0.4)]
+    assert [rep for rep, f in de if f == min(f for _, f in de)] == [3, 1]
+
+    results = tmp_path / "results.jsonl"
+    results.write_text("".join(json.dumps(r, sort_keys=True) + "\n"
+                               for r in lines))
+    digest = hashlib.sha256()
+    for command in ("stats", "report"):
+        out = tmp_path / command
+        assert main([command, "--results", str(results),
+                     "--out", str(out)]) == 0
+        _update_with_files(digest, out)
+    _assert_golden("comparison_outputs", digest.hexdigest())
 
 
 def test_optimizers_match_golden():

@@ -1,7 +1,10 @@
-"""No module of evomlp imports a name at module level that it never uses.
+"""No module of evomlp imports a name at module level that it never uses,
+and no module-level private name is left that no module reads.
 
-A name counts as used when the module reads it anywhere, or lists it in
-`__all__` to re-export it.
+An imported name counts as used when the module reads it anywhere, or
+lists it in `__all__` to re-export it. A private function, class or
+constant counts as read when any module of evomlp reads it, by name or
+as an attribute.
 """
 
 import ast
@@ -49,3 +52,50 @@ def test_every_module_level_import_is_used(path):
     unused = {name: line for name, line in _imported_names(tree).items()
               if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _private_definitions(tree):
+    """{name: line} of the module-level private functions, classes and
+    constants (dunder names left out)."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            bound = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        names.update({name: node.lineno for name in bound
+                      if name.startswith("_") and not name.startswith("__")})
+    return names
+
+
+def _unread_private_names(trees):
+    """{"module:name": line} of the private module-level names that no
+    tree of `trees` ({module: ast}) reads, by name or as an attribute."""
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) or (
+                isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))}
+    return {f"{module}:{name}": line for module, tree in trees.items()
+            for name, line in _private_definitions(tree).items()
+            if name not in read}
+
+
+def test_every_private_module_level_name_is_read():
+    trees = {str(p.relative_to(SRC)): ast.parse(p.read_text(), filename=str(p))
+             for p in MODULES}
+    unread = _unread_private_names(trees)
+    assert not unread, f"private names never read in src/evomlp: {unread}"
+
+
+def test_unread_private_name_is_caught():
+    planted = ast.parse("_USED = 1\n_left = 2\n\n\ndef _leftover():\n"
+                        "    return _USED\n\n\nclass _Kept:\n    pass\n\n\n"
+                        "print(_Kept)\n")
+    assert _unread_private_names({"planted.py": planted}) \
+        == {"planted.py:_left": 2, "planted.py:_leftover": 5}
