@@ -142,11 +142,10 @@ ARCHITECTURE_HEADER = ["algorithm", "structure", "learning_rate", "solver"]
 def best_architectures(records):
     """{rate: [(algorithm, structure, learning_rate, solver_name)]} using
     each cell's lowest-fitness repeat (the first in the file on a tie),
-    algorithms by name, formatted as written under ARCHITECTURE_HEADER."""
-    table = cells(records)
+    in `cells` order, formatted as written under ARCHITECTURE_HEADER."""
     tables = {}
-    for alg, rate in sorted(table, key=lambda key: (key[1], key[0])):
-        arch = min(table[alg, rate], key=lambda r: r.fitness).architecture
+    for (alg, rate), cell in cells(records).items():
+        arch = min(cell, key=lambda r: r.fitness).architecture
         lr = arch.get("learning_rate")
         tables.setdefault(rate, []).append((
             alg,
@@ -164,13 +163,14 @@ def _svg_escape(text):
 
 def accuracy_bar_chart(records):
     """Static SVG: one bar per algorithm of the records, height = mean
-    accuracy over its clean records in file order (0 when it has none)."""
+    accuracy over its clean records in file order; an algorithm with no
+    clean record draws no bar and is labelled n/a."""
     algs = list(dict.fromkeys(r.algorithm for r in records))
     means = []
     for alg in algs:
         accs = [r.accuracy for r in records
                 if r.algorithm == alg and not r.error]
-        means.append(float(np.mean(accs)) if accs else 0.0)
+        means.append(float(np.mean(accs)) if accs else None)
 
     width, height, margin = 640, 360, 50
     plot_w = width - 2 * margin
@@ -197,17 +197,21 @@ def accuracy_bar_chart(records):
                      f'y2="{y}" stroke="black"/>')
     for i, (alg, mean) in enumerate(zip(algs, means)):
         x = margin + i * slot + (slot - bar_w) / 2
-        bar_h = plot_h * max(0.0, min(mean, 100.0)) / 100.0
-        y = height - margin - bar_h
-        parts.append(
-            f'<rect class="bar" x="{x:.1f}" y="{y:.1f}" '
-            f'width="{bar_w:.1f}" height="{bar_h:.1f}" fill="#4878a8"/>')
+        y = height - margin
+        label = "n/a"
+        if mean is not None:
+            bar_h = plot_h * max(0.0, min(mean, 100.0)) / 100.0
+            y -= bar_h
+            label = f"{mean:.1f}"
+            parts.append(
+                f'<rect class="bar" x="{x:.1f}" y="{y:.1f}" '
+                f'width="{bar_w:.1f}" height="{bar_h:.1f}" fill="#4878a8"/>')
         parts.append(
             f'<text x="{x + bar_w / 2:.1f}" y="{height - margin + 14}" '
             f'font-size="10" text-anchor="middle">'
             f'{_svg_escape(alg)}</text>')
         parts.append(
             f'<text x="{x + bar_w / 2:.1f}" y="{y - 4:.1f}" '
-            f'font-size="10" text-anchor="middle">{mean:.1f}</text>')
+            f'font-size="10" text-anchor="middle">{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts)

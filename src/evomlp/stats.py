@@ -3,9 +3,8 @@
 Friedman ranks treatments within blocks (higher score = better = rank 1),
 Wilcoxon signed-rank decides pairwise superiority at a significance
 level, and stability is the spread of mean scores across missing-value
-conditions. The chi-square tail is computed from a hand-rolled
-regularized incomplete gamma so the package needs no statistics
-dependency.
+conditions. Friedman's chi-square tail is a finite sum at its integer
+degrees of freedom, so the package needs no statistics dependency.
 """
 
 import math
@@ -30,59 +29,28 @@ class TestVerdict:
     verdict: str
 
 
-def _lower_gamma_series(a, x):
-    term = 1.0 / a
-    total = term
-    n = a
-    for _ in range(1000):
-        n += 1.0
-        term *= x / n
-        total += term
-        if abs(term) < abs(total) * 1e-16:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _upper_gamma_cf(a, x):
-    # modified Lentz continued fraction
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
-
-
-def gammainc_upper(a, x):
-    """Regularized upper incomplete gamma Q(a, x)."""
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if x == 0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _lower_gamma_series(a, x)
-    return _upper_gamma_cf(a, x)
-
-
 def chi2_sf(x, df):
-    """Upper-tail probability of the chi-square distribution."""
-    return gammainc_upper(df / 2.0, x / 2.0)
+    """Upper-tail probability of the chi-square distribution at an
+    integer df >= 1; 1 for x <= 0.
+
+    A finite sum: for even df the Poisson sum
+    e^(-x/2) * sum_{i < df/2} (x/2)^i / i!, for odd df
+    erfc(sqrt(x/2)) + sqrt(2x/pi) * e^(-x/2)
+    * sum_{k=1}^{(df-1)/2} x^(k-1) / (1 * 3 * ... * (2k-1)).
+    """
+    if x <= 0:
+        return 1.0
+    if df % 2:
+        total = math.erfc(math.sqrt(x / 2.0))
+        term = math.sqrt(2.0 * x / math.pi) * math.exp(-x / 2.0)
+    else:
+        total, term = 0.0, math.exp(-x / 2.0)
+    # each term is the one before times x / 2, x / 4, ... for even df,
+    # times x / 3, x / 5, ... for odd df
+    for divisor in range(2 + df % 2, df + 2, 2):
+        total += term
+        term *= x / divisor
+    return total
 
 
 def _ranks_desc(row):
@@ -115,8 +83,9 @@ def friedman(matrix, alpha=0.05):
         raise ValueError("need at least 1 block")
     ranks = np.vstack([_ranks_desc(row) for row in m])
     avg_ranks = ranks.mean(axis=0)
-    chi2 = 12.0 * n / (k * (k + 1)) * float(np.sum(avg_ranks ** 2)) \
-        - 3.0 * n * (k + 1)
+    # full ties can round the statistic just below zero
+    chi2 = max(0.0, 12.0 * n / (k * (k + 1)) * float(np.sum(avg_ranks ** 2))
+               - 3.0 * n * (k + 1))
     p = chi2_sf(chi2, k - 1)
     return {
         "chi2": chi2,

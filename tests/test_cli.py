@@ -512,6 +512,28 @@ def test_report_outputs(bench_dir, tmp_path):
     assert len(bars) == 3
 
 
+def test_report_follows_stats_order_and_draws_no_bar_without_a_score(
+        bench_dir, tmp_path):
+    # PSO has error records only: no architecture row, no bar, and n/a
+    # for its mean; DE comes before CMA-ES, as in every stats table
+    results = _with_failed_cells(bench_dir, tmp_path / "failed.jsonl",
+                                 {("PSO", 0.0), ("PSO", 0.4)})
+    out = tmp_path / "report"
+    assert main(["report", "--results", str(results),
+                 "--out", str(out)]) == 0
+    for rate in ("0", "0.4"):
+        with open(out / f"architectures_rate_{rate}.csv") as fh:
+            assert [row[0] for row in list(csv.reader(fh))[1:]] \
+                == ["DE", "CMA-ES"]
+    root = ET.fromstring((out / "accuracy_by_algorithm.svg").read_text())
+    bars = [el for el in root.iter()
+            if el.tag.endswith("rect") and el.get("class") == "bar"]
+    assert len(bars) == 2
+    texts = [el.text for el in root.iter() if el.tag.endswith("text")]
+    assert texts[texts.index("PSO") + 1] == "n/a"
+    assert texts.count("n/a") == 1
+
+
 def test_report_empty_results(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")

@@ -15,7 +15,9 @@ two configs against digests kept in golden_digests.json:
   file of its `stats/` and `report/` directories, in sorted order;
 - "comparison_outputs": every file `stats` and `report` write for a
   hand-built results file out of grid order (see `_comparison_lines`),
-  where the rules that pick, group and order the records disagree;
+  where the rules that pick, group and order the records disagree: the
+  tables list the algorithms in `report.cells` order, and the chart
+  every algorithm of the file, one with no clean record as `n/a`;
 - "pbmh": the traces and incumbents of `minimize` for all 13 optimizers
   on a 10-D Rastrigin, at budgets that end on and within a generation
   (CMA-ES's truncated one included), each run cold and warm-started;

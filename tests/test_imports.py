@@ -1,10 +1,14 @@
 """No module of evomlp imports a name at module level that it never uses,
-and no module-level private name is left that no module reads.
+no module-level private name is left that no module reads, and no public
+module-level function or class is left that nothing in the repository
+reads.
 
 An imported name counts as used when the module reads it anywhere, or
 lists it in `__all__` to re-export it. A private function, class or
 constant counts as read when any module of evomlp reads it, by name or
-as an attribute.
+as an attribute. A public function or class counts as read when any
+Python file under src/, tests/, demos/ or bench/ reads it, by name or as
+an attribute.
 """
 
 import ast
@@ -12,8 +16,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "evomlp"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "evomlp"
 MODULES = sorted(SRC.rglob("*.py"))
+READERS = sorted(path for folder in ("src", "tests", "demos", "bench")
+                 for path in (ROOT / folder).rglob("*.py"))
 
 
 def _imported_names(tree):
@@ -74,23 +81,52 @@ def _private_definitions(tree):
     return names
 
 
+def _read_names(trees):
+    """Every name the trees read, by name or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) or (
+                isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))}
+
+
 def _unread_private_names(trees):
     """{"module:name": line} of the private module-level names that no
     tree of `trees` ({module: ast}) reads, by name or as an attribute."""
-    read = {node.id if isinstance(node, ast.Name) else node.attr
-            for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) or (
-                isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))}
+    read = _read_names(trees.values())
     return {f"{module}:{name}": line for module, tree in trees.items()
             for name, line in _private_definitions(tree).items()
             if name not in read}
 
 
+def _unread_public_names(trees, readers):
+    """{"module:name": line} of the public module-level functions and
+    classes of `trees` ({module: ast}) that no tree of `readers` reads."""
+    read = _read_names(readers)
+    return {f"{module}:{node.name}": node.lineno
+            for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in read}
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _module_trees():
+    return {str(p.relative_to(SRC)): _parse(p) for p in MODULES}
+
+
 def test_every_private_module_level_name_is_read():
-    trees = {str(p.relative_to(SRC)): ast.parse(p.read_text(), filename=str(p))
-             for p in MODULES}
-    unread = _unread_private_names(trees)
+    unread = _unread_private_names(_module_trees())
     assert not unread, f"private names never read in src/evomlp: {unread}"
+
+
+def test_every_public_function_and_class_is_read():
+    unread = _unread_public_names(_module_trees(),
+                                  [_parse(p) for p in READERS])
+    assert not unread, ("public functions and classes that nothing in "
+                        f"src/, tests/, demos/ or bench/ reads: {unread}")
 
 
 def test_unread_private_name_is_caught():
@@ -99,3 +135,14 @@ def test_unread_private_name_is_caught():
                         "print(_Kept)\n")
     assert _unread_private_names({"planted.py": planted}) \
         == {"planted.py:_left": 2, "planted.py:_leftover": 5}
+
+
+def test_unread_public_name_is_caught():
+    planted = ast.parse("import math\n\n\ndef chi2_sf(x):\n"
+                        "    return math.exp(-x)\n\n\n"
+                        "def gammainc_upper(a, x):\n    return 1.0\n\n\n"
+                        "class Kept:\n    pass\n\n\nUNREAD_CONSTANT = 1\n")
+    reader = ast.parse("import planted\nfrom planted import Kept\n\n"
+                       "print(planted.chi2_sf(1.0), Kept)\n")
+    assert _unread_public_names({"planted.py": planted}, [reader]) \
+        == {"planted.py:gammainc_upper": 8}

@@ -4,30 +4,39 @@ import numpy as np
 import pytest
 
 from evomlp.stats import (EQUIVALENT, INFERIOR, SUPERIOR, chi2_sf, friedman,
-                          gammainc_upper, pairwise_verdicts, stability,
-                          wilcoxon_signed_rank, win_tie_loss)
+                          pairwise_verdicts, stability, wilcoxon_signed_rank,
+                          win_tie_loss)
 
 
 def test_chi2_tail_against_scipy():
+    # every df from 1 to 30, x from 1e-4 out to tails near 1e-300
     scipy_stats = pytest.importorskip("scipy.stats")
-    for x, df in [(0.5, 1), (8.0, 2), (21.03, 12), (61.48, 12),
-                  (100.0, 30), (1e-4, 5), (3.2, 7)]:
-        assert chi2_sf(x, df) == pytest.approx(scipy_stats.chi2.sf(x, df),
-                                               abs=1e-10)
+    smallest = 1.0
+    for df in range(1, 31):
+        for x in np.geomspace(1e-4, 1400.0, 120):
+            expected = scipy_stats.chi2.sf(x, df)
+            if expected < 1e-300:
+                continue
+            smallest = min(smallest, expected)
+            assert chi2_sf(float(x), df) == pytest.approx(expected,
+                                                          rel=1e-12, abs=0.0)
+    assert smallest < 1e-299
 
 
-def test_gammainc_edges():
-    assert gammainc_upper(2.0, 0.0) == 1.0
-    with pytest.raises(ValueError):
-        gammainc_upper(-1.0, 2.0)
-    with pytest.raises(ValueError):
-        gammainc_upper(1.0, -2.0)
+def test_chi2_sf_is_one_at_zero():
+    for df in (1, 2, 3, 12, 29, 30):
+        assert chi2_sf(0.0, df) == 1.0
+        assert chi2_sf(-1e-15, df) == 1.0
 
 
-def test_friedman_full_ties():
-    r = friedman(np.ones((5, 4)))
+@pytest.mark.parametrize("shape", [(5, 4), (7, 5), (3, 11), (17, 4)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_friedman_full_ties(shape):
+    # (7, 5), (3, 11) and (17, 4) round the statistic just below zero
+    k = shape[1]
+    r = friedman(np.ones(shape))
     assert r["chi2"] == 0.0
-    assert r["average_ranks"] == [2.5] * 4
+    assert r["average_ranks"] == [(k + 1) / 2] * k
     assert not r["significant"]
 
 
