@@ -1,22 +1,29 @@
 """Command-line surface: prepare, inject-missing, search, benchmark,
 stats, report.
 
-Exit codes: 0 success, 2 input/config error, 3 benchmark finished with
-failed grid cells. All state is explicit (config file + flags); under
---deterministic every output byte is reproducible.
+Exit codes: 0 success, 2 input/config error (a ValueError, or an OSError
+such as a missing file or a directory given for one), 3 benchmark
+finished with failed grid cells. All state is explicit (config file +
+flags); under --deterministic every output byte is reproducible.
+
+Each config section and the dataset is a frozen dataclass built by
+genome.build, which refuses unknown keys, and checked by
+genome.check_fields, which refuses a value of another type than its
+field's; the dataclass holds every default. The manifest records the
+resolved dataset: its type and every field.
 """
 
 import argparse
 import json
-import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import data, driver, report
-from .genome import SearchSpace
+from .genome import SearchSpace, build, check_fields
 from .objective import EvalConfig
 from .pbmh import ConfigError, canonical_name
 from .seeding import derive_seed
@@ -25,51 +32,64 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_PARTIAL = 3
 
-# the keys a dataset of each type accepts
-_DATASET_KEYS = {"synthetic": {"type", "n", "p", "classes", "separation",
-                               "seed"},
-                 "csv": {"type", "path"}}
+
+@dataclass(frozen=True)
+class SyntheticData:
+    """A config's synthetic dataset: data.synthesize's arguments."""
+
+    type: ClassVar[str] = "synthetic"
+    n: int = 600
+    p: int = 12
+    classes: int = 3
+    separation: float = 4.0
+    seed: int = 0
+
+    def __post_init__(self):
+        check_fields(self)
+
+    def load(self, base_dir):
+        return data.synthesize(n=self.n, p=self.p, n_classes=self.classes,
+                               separation=self.separation, seed=self.seed)
 
 
-def _check_keys(mapping, allowed, context):
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{context} must be a JSON object")
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ConfigError(
-            f"unknown {context} keys: {', '.join(sorted(unknown))}")
+@dataclass(frozen=True)
+class CsvData:
+    """A config's prepared dataset CSV; path is relative to base_dir."""
+
+    type: ClassVar[str] = "csv"
+    path: str
+
+    def __post_init__(self):
+        check_fields(self)
+
+    def load(self, base_dir):
+        return data.read_dataset_csv(os.path.join(base_dir, self.path))
 
 
-def _build(cls, raw, context):
-    """cls(**raw), with raw's keys checked against the dataclass fields;
-    the dataclass supplies every default."""
-    _check_keys(raw, {f.name for f in fields(cls)}, context)
-    try:
-        return cls(**raw)
-    except TypeError as exc:
-        raise ConfigError(f"invalid {context} value: {exc}") from None
+DATASETS = {cls.type: cls for cls in (SyntheticData, CsvData)}
 
 
 def load_config(path):
-    """Parse a config JSON into (SearchConfig, dataset_spec).
+    """Parse a config JSON into (SearchConfig, dataset spec or None).
 
     Keys and defaults are the fields of SearchConfig, EvalConfig ("eval")
-    and SearchSpace ("space"). A top-level "max_layers" caps layer growth:
-    it fills space.max_layers when the space omits it, lowers it when
-    smaller, and may not exceed it.
+    and SearchSpace ("space"), and those of the dataset class that the
+    dataset's "type" names in DATASETS. A top-level "max_layers" caps
+    layer growth: it fills space.max_layers when the space omits it,
+    lowers it when smaller, and may not exceed it.
     """
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    dataset_spec = raw.pop("dataset", None)
+    dataset = raw.pop("dataset", None)
     max_layers = raw.pop("max_layers", None)
 
     space_raw = raw.get("space", {})
-    space = _build(SearchSpace, space_raw, "space")
+    space = build(SearchSpace, space_raw, "space")
     if max_layers is not None:
-        capped = _build(SearchSpace, dict(space_raw, max_layers=max_layers),
-                        "space")
+        capped = build(SearchSpace, dict(space_raw, max_layers=max_layers),
+                       "space")
         if "max_layers" in space_raw and capped.max_layers > space.max_layers:
             # layer growth would run out of genome capacity in every cell
             raise ConfigError(
@@ -77,47 +97,27 @@ def load_config(path):
                 f"{space.max_layers}")
         space = capped
     raw["space"] = space
-    raw["eval"] = _build(EvalConfig, raw.get("eval", {}), "eval")
-    for key in ("algorithms", "missing_rates"):
-        if key in raw and not isinstance(raw[key], list):
-            raise ConfigError(f"{key} must be a JSON list")
-    if "algorithms" in raw:
-        raw["algorithms"] = tuple(canonical_name(a) for a in raw["algorithms"])
-    if "missing_rates" in raw:
-        raw["missing_rates"] = tuple(raw["missing_rates"])
-    cfg = _build(driver.SearchConfig, raw, "config")
+    raw["eval"] = build(EvalConfig, raw.get("eval", {}), "eval")
+    cfg = build(driver.SearchConfig, raw, "config")
+    for algorithm in cfg.algorithms:
+        canonical_name(algorithm)  # ConfigError for an unknown one
 
-    if dataset_spec is not None:
-        if not isinstance(dataset_spec, dict):
+    if dataset is not None:
+        if not isinstance(dataset, dict):
             raise ConfigError("dataset must be a JSON object")
-        # load_dataset rejects a type of any other name
-        kind = dataset_spec.get("type")
-        for name, keys in _DATASET_KEYS.items():
-            if kind == name:
-                _check_keys(dataset_spec, keys, f"{name} dataset")
-    return cfg, dataset_spec
+        kind = dataset.pop("type", None)
+        if not isinstance(kind, str) or kind not in DATASETS:
+            raise ConfigError(f"unknown dataset type {kind!r}")
+        dataset = build(DATASETS[kind], dataset, f"{kind} dataset")
+    return cfg, dataset
 
 
 def load_dataset(spec, base_dir="."):
+    """Load the dataset that a spec from load_config names; a csv path
+    is relative to base_dir."""
     if spec is None:
         raise ConfigError("config has no 'dataset' entry")
-    kind = spec.get("type")
-    if kind == "synthetic":
-        n, p, classes, seed = (spec.get(key, default) for key, default in (
-            ("n", 600), ("p", 12), ("classes", 3), ("seed", 0)))
-        separation = spec.get("separation", 4.0)
-        if (any(type(v) is not int for v in (n, p, classes, seed))
-                or type(separation) not in (int, float)
-                or not math.isfinite(separation)):
-            raise ConfigError("dataset n, p, classes and seed must be "
-                              "integers and separation a finite number")
-        return data.synthesize(n=n, p=p, n_classes=classes,
-                               separation=separation, seed=seed)
-    if kind == "csv":
-        if not isinstance(spec.get("path"), str):
-            raise ConfigError("a csv dataset needs a 'path' string")
-        return data.read_dataset_csv(os.path.join(base_dir, spec["path"]))
-    raise ConfigError(f"unknown dataset type {kind!r}")
+    return spec.load(base_dir)
 
 
 def cmd_prepare(args):
@@ -206,7 +206,7 @@ def cmd_benchmark(args):
         for r in records if r.error
     ]
     manifest = driver.config_manifest(cfg, deterministic=args.deterministic)
-    manifest["dataset"] = dataset_spec
+    manifest["dataset"] = {"type": dataset_spec.type, **asdict(dataset_spec)}
     manifest["records"] = len(records)
     manifest["failures"] = failures
     report.write_json(os.path.join(args.out, "manifest.json"), manifest)
@@ -312,8 +312,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
-        # ConfigError, the data errors and JSONDecodeError are ValueErrors
+    except (ValueError, OSError) as exc:
+        # ConfigError, the data errors and JSONDecodeError are ValueErrors;
+        # a missing file or a directory in place of one is an OSError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

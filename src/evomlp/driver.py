@@ -10,16 +10,15 @@ rate so every algorithm faces identical missingness.
 """
 
 import json
-import math
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import objective
 from .data import (MAX_MISSING_RATE, RowParseError, inject_missing,
                    is_missing_rate)
-from .genome import Genome, SearchSpace, check_int_fields, decode, grow
+from .genome import Genome, SearchSpace, build, check_fields, decode, grow
 from .objective import EvalConfig, FoldSplit
 from .pbmh import (ALGORITHM_NAMES, ConfigError, canonical_name,
                    check_population, optimize_stage)
@@ -43,7 +42,7 @@ class SearchConfig:
     space: SearchSpace = field(default_factory=SearchSpace)
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_fields(self)
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
         check_population(self.population_size, self.stage_budget)
@@ -91,46 +90,16 @@ class RunRecord:
     wall_time: float = None
     error: str = None
 
+    def __post_init__(self):
+        # an error record may hold None in its float fields
+        check_fields(self, none_ok=() if self.error is None else (float,))
+
     def to_dict(self):
         d = asdict(self)
         for key in ("wall_time", "error"):
             if d[key] is None:
                 del d[key]
         return d
-
-    @classmethod
-    def from_dict(cls, d):
-        """The record a parsed results line holds; ValueError for a key
-        that is missing or unknown, a value of another type than its
-        field's, or a float that is not finite (json reads NaN and
-        Infinity). The scores may be None only in an error record; the
-        float fields hold floats, an int in the line read as its float."""
-        if not isinstance(d, dict):
-            raise ValueError("a record must be a JSON object")
-        d = dict(d)
-        known = {f.name: f for f in fields(cls)}
-        required = {name for name, f in known.items() if f.default is MISSING}
-        for what, keys in (("unknown", set(d) - set(known)),
-                           ("missing", required - set(d))):
-            if keys:
-                raise ValueError(f"{what} keys {sorted(keys)}")
-        for name, value in d.items():
-            f = known[name]
-            if value is None and (f.default is None or (
-                    f.type is float and d.get("error") is not None)):
-                continue
-            kinds = (int, float) if f.type is float else f.type
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise ValueError(f"{name} {value!r} is not a "
-                                 f"{f.type.__name__}")
-            if f.type is float:  # 0 and 0.0 name one rate, one score
-                try:
-                    d[name] = value = float(value)
-                except OverflowError:  # an int beyond the float range
-                    value = math.inf
-                if not math.isfinite(value):
-                    raise ValueError(f"{name} {d[name]!r} is not finite")
-        return cls(**d)
 
 
 def _grow_to(genome, space, n_layers, rng):
@@ -307,7 +276,7 @@ def load_records(path):
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 try:
-                    record = RunRecord.from_dict(json.loads(line))
+                    record = build(RunRecord, json.loads(line), "record")
                 except ValueError as exc:
                     raise RowParseError(f"line {lineno}: {exc}") from exc
                 cell = (record.algorithm, record.missing_rate, record.repeat)

@@ -34,14 +34,53 @@ class CapacityError(ValueError):
     """Raised when a genome already has the maximum number of layers."""
 
 
-def check_int_fields(instance):
-    """TypeError unless every field of a dataclass instance annotated
-    int holds an integer (a bool does not count)."""
+def check_fields(instance, none_ok=()):
+    """TypeError unless each field of a dataclass instance holds a value
+    of its annotation: an int field an integer (a bool does not count), a
+    float field a finite real, stored as a float, a tuple field a list or
+    tuple, stored as a tuple, and any other field an instance of its
+    class. None passes where the field's default is None or its
+    annotation is in none_ok."""
     for f in fields(instance):
         value = getattr(instance, f.name)
-        if f.type is int and (isinstance(value, bool)
-                              or not isinstance(value, numbers.Integral)):
-            raise TypeError(f"{f.name} must be an integer, got {value!r}")
+        if value is None and (f.default is None or f.type in none_ok):
+            continue
+        if f.type in (int, float) and isinstance(value, bool):
+            ok = False
+        elif f.type is int:
+            ok = isinstance(value, numbers.Integral)
+        elif f.type is float and isinstance(value, numbers.Real):
+            try:
+                value = float(value)
+            except OverflowError:  # an int beyond the float range
+                value = math.inf
+            ok = math.isfinite(value)
+        elif f.type is tuple and isinstance(value, list):
+            value, ok = tuple(value), True
+        else:
+            ok = isinstance(value, f.type)
+        if not ok:
+            raise TypeError(f"{f.name} must be "
+                            f"{'a finite ' * (f.type is float)}"
+                            f"{f.type.__name__}, got {value!r}")
+        object.__setattr__(instance, f.name, value)
+
+
+def build(cls, raw, context):
+    """cls(**raw) for a parsed JSON value raw; ValueError unless raw is an
+    object whose keys are fields of cls, and for a TypeError of the
+    constructor (a missing key, a value check_fields refuses). The
+    dataclass supplies every default."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{context} must be a JSON object")
+    unknown = set(raw) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(
+            f"unknown {context} keys: {', '.join(sorted(unknown))}")
+    try:
+        return cls(**raw)
+    except TypeError as exc:
+        raise ValueError(f"invalid {context}: {exc}") from None
 
 
 def round_half_away(x):
@@ -60,7 +99,7 @@ class SearchSpace:
     max_layers: int = 8
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_fields(self)
         if self.neuron_min < 1:
             raise ValueError("neuron_min must be >= 1")
         if self.neuron_min > self.neuron_max:

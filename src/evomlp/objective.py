@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network
-from .genome import SearchSpace, check_int_fields, decode
+from .genome import SearchSpace, check_fields, decode
 from .seeding import derive_seed
 from .solvers import NumericFaultError, SolverSpec, make_solver
 
@@ -46,7 +46,7 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_fields(self)
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
         if self.epochs < 1:

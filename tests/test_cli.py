@@ -1,13 +1,17 @@
 import csv
 import json
+import math
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from evomlp.cli import load_config, main
+from evomlp.cli import CsvData, SyntheticData, load_config, main
 from evomlp.data import read_dataset_csv, synthesize, write_dataset_csv
-from evomlp.driver import SearchConfig, config_manifest
+from evomlp.driver import RunRecord, SearchConfig, config_manifest
+from evomlp.genome import SearchSpace, build
+from evomlp.objective import EvalConfig
 
 RAW_TRACE = """timestamp,battery_state,battery_level,cpu,wifi
 0,discharging,80,0.5,on
@@ -327,6 +331,9 @@ def test_max_layers_beyond_space_exits_2(tmp_path, capsys):
                  "seed": 3}},
     {"dataset": {"type": "synthetic", "n": 60, "p": 4, "classes": 3,
                  "path": "finite.csv"}},
+    {"dataset": {"type": "csv", "path": ""}},
+    {"dataset": {"type": "csv", "path": "."}},
+    {"algorithms": ["DE", "bogus"]},
 ], ids=["population-3", "budget-below-population", "neuron-min-above-max",
         "fewer-rows-than-folds", "folds-string", "batch-size-0",
         "repeats-string", "missing-rates-scalar", "missing-rates-string",
@@ -339,7 +346,8 @@ def test_max_layers_beyond_space_exits_2(tmp_path, capsys):
         "algorithms-duplicate-spelling", "missing-rates-duplicate",
         "missing-rates-duplicate-int", "jobs-0", "jobs-negative",
         "separation-nan", "separation-inf", "csv-non-finite-feature",
-        "csv-with-synthetic-keys", "synthetic-with-path"])
+        "csv-with-synthetic-keys", "synthetic-with-path", "csv-path-empty",
+        "csv-path-directory", "algorithms-unknown"])
 def test_bad_config_exits_2_before_work(tmp_path, capsys, overrides):
     overrides = dict(overrides)
     flags = overrides.pop("flags", [])  # command-line flags, not config
@@ -362,12 +370,52 @@ def test_bad_config_exits_2_before_work(tmp_path, capsys, overrides):
     assert not (out / "results.jsonl").exists()
 
 
+# a good mapping per JSON input class, and the wrong-typed values each
+# kind of field must refuse
+_GOOD_INPUTS = {
+    SearchConfig: {}, EvalConfig: {}, SearchSpace: {}, SyntheticData: {},
+    CsvData: {"path": "data.csv"},
+    RunRecord: {"algorithm": "DE", "missing_rate": 0.2, "repeat": 0,
+                "fitness": 10.0, "accuracy": 90.0, "f_measure": 88.0,
+                "architecture": {}, "genome": {}, "stage_traces": [],
+                "n_evaluations": 8, "seed": 1, "wall_time": 0.5},
+}
+_WRONG_VALUES = {int: ["7", True], float: ["0.5", True, math.nan],
+                 tuple: ["DE", 0.2]}
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    pytest.param(cls, f.name, value, id=f"{cls.__name__}.{f.name}={value!r}")
+    for cls in _GOOD_INPUTS for f in fields(cls)
+    for value in _WRONG_VALUES.get(f.type, [1])])
+def test_every_input_field_refuses_a_wrong_type(cls, name, value):
+    good = _GOOD_INPUTS[cls]
+    build(cls, good, "input")  # the mapping itself passes
+    with pytest.raises(ValueError, match=name):
+        build(cls, dict(good, **{name: value}), "input")
+
+
 def test_manifest_config_loads_back_equal(tmp_path):
     loaded, _ = load_config(tiny_config(tmp_path))
     for cfg in (loaded, SearchConfig()):
         path = tmp_path / "manifest_config.json"
         path.write_text(json.dumps(config_manifest(cfg)["config"]))
         assert load_config(path) == (cfg, None)
+
+
+def test_manifest_records_the_resolved_dataset(tmp_path):
+    given = {"type": "synthetic", "n": 60, "p": 4, "classes": 3}
+    path = tiny_config(tmp_path, algorithms=["DE"], repeats=1,
+                       dataset=given)
+    out = tmp_path / "b"
+    assert main(["benchmark", "--config", str(path), "--out", str(out),
+                 "--deterministic", "--quiet"]) == 0
+    recorded = json.loads((out / "manifest.json").read_text())["dataset"]
+    assert recorded == dict(given, separation=4.0, seed=0)
+    assert isinstance(recorded["separation"], float)
+    (tmp_path / "again").mkdir()
+    again = tiny_config(tmp_path / "again", dataset=recorded)
+    assert load_config(again)[1] == SyntheticData(n=60, p=4, classes=3)
 
 
 def test_top_level_max_layers_sets_stage_count(tmp_path):
@@ -547,6 +595,17 @@ def test_report_empty_results(tmp_path):
 def test_missing_results_file_exits_2(tmp_path):
     assert main(["stats", "--results", str(tmp_path / "nope.jsonl"),
                  "--out", str(tmp_path / "s")]) == 2
+
+
+@pytest.mark.parametrize("command, flag", [("benchmark", "--config"),
+                                           ("stats", "--results"),
+                                           ("report", "--results")])
+def test_directory_for_an_input_file_exits_2(tmp_path, capsys, command,
+                                              flag):
+    out = tmp_path / "out"
+    assert main([command, flag, str(tmp_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_stats_and_report_idempotent_bytes(bench_dir, tmp_path):

@@ -13,7 +13,7 @@ import pytest
 from evomlp.data import inject_missing, synthesize
 from evomlp.driver import (RunRecord, SearchConfig, config_manifest,
                            layer_growth_search, load_records, run_benchmark)
-from evomlp.genome import SearchSpace
+from evomlp.genome import SearchSpace, build
 from evomlp.objective import EvalConfig, FoldSplit
 from evomlp.seeding import derive_seed
 
@@ -112,9 +112,18 @@ def test_layer_growth_deterministic(blob_data):
 def test_run_record_round_trip(blob_data):
     cfg = tiny_config()
     record = layer_growth_search("DE", blob_data, cfg, seed=4)
-    clone = RunRecord.from_dict(
-        json.loads(json.dumps(record.to_dict(), sort_keys=True)))
+    clone = build(RunRecord,
+                  json.loads(json.dumps(record.to_dict(), sort_keys=True)),
+                  "record")
     assert clone.to_dict() == record.to_dict()
+
+
+@pytest.mark.parametrize("field, value", [("algorithms", "DE"),
+                                          ("missing_rates", 0.2)])
+def test_search_config_refuses_a_scalar_for_a_tuple(field, value):
+    # a string would otherwise run a grid of the algorithms "D" and "E"
+    with pytest.raises(TypeError, match=f"{field} must be tuple"):
+        SearchConfig(**{field: value})
 
 
 def test_benchmark_grid_cardinality(blob_data, tmp_path):
@@ -215,7 +224,7 @@ from concurrent.futures.process import BrokenProcessPool
 sys.path.insert(0, sys.argv[1])
 from evomlp import driver
 from evomlp.data import synthesize
-from evomlp.genome import SearchSpace
+from evomlp.genome import SearchSpace, build
 from evomlp.objective import EvalConfig
 
 def die(*args, **kwargs):
