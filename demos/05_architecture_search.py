@@ -11,13 +11,14 @@ Takes around half a minute.
 
 from evomlp.data import inject_missing, synthesize
 from evomlp.driver import desk_config, layer_growth_search
+from evomlp.objective import split_folds
 
 ds = synthesize(600, 12, 3, separation=4.0, seed=7)
 masked = inject_missing(ds, rate=0.4, seed=1)
 print(f"dataset: {ds.n} rows, {ds.p} features, 40% of entries masked")
 
 cfg = desk_config()
-record = layer_growth_search("DE", masked, cfg, seed=3)
+record = layer_growth_search("DE", split_folds(masked, cfg.eval), cfg, seed=3)
 
 arch = record.architecture
 print(f"\nbest genome after {record.n_evaluations} evaluations:")

@@ -10,7 +10,12 @@ Each config section and the dataset is a frozen dataclass built by
 genome.build, which refuses unknown keys, and checked by
 genome.check_fields, which refuses a value of another type than its
 field's; the dataclass holds every default. The manifest records the
-resolved dataset: its type and every field.
+resolved dataset: its type and every field. A trace schema goes through
+the same build, so prepare refuses an unknown schema key.
+
+search makes the fold split of its dataset (objective.split_folds) and
+hands it to driver.layer_growth_search; benchmark leaves the splits to
+driver.run_benchmark, which makes one per missing rate.
 """
 
 import argparse
@@ -24,7 +29,7 @@ import numpy as np
 
 from . import data, driver, report
 from .genome import SearchSpace, build, check_fields
-from .objective import EvalConfig
+from .objective import EvalConfig, split_folds
 from .pbmh import ConfigError, canonical_name
 from .seeding import derive_seed
 
@@ -99,8 +104,6 @@ def load_config(path):
     raw["space"] = space
     raw["eval"] = build(EvalConfig, raw.get("eval", {}), "eval")
     cfg = build(driver.SearchConfig, raw, "config")
-    for algorithm in cfg.algorithms:
-        canonical_name(algorithm)  # ConfigError for an unknown one
 
     if dataset is not None:
         if not isinstance(dataset, dict):
@@ -154,6 +157,8 @@ def cmd_inject_missing(args):
 
 
 def cmd_search(args):
+    if not (args.data or args.config):
+        raise ConfigError("search needs --data or a --config with a dataset")
     if args.mask and not args.data:
         raise ConfigError("--mask masks the rows of --data; give both")
     if args.config:
@@ -166,10 +171,10 @@ def cmd_search(args):
     elif args.data:
         ds = data.read_dataset_csv(args.data)
     else:
-        ds = load_dataset(
-            dataset_spec, base_dir=os.path.dirname(args.config or "") or ".")
+        ds = load_dataset(dataset_spec,
+                          base_dir=os.path.dirname(args.config) or ".")
     record = driver.layer_growth_search(
-        algorithm, ds, cfg,
+        algorithm, split_folds(ds, cfg.eval), cfg,
         seed=derive_seed(cfg.master_seed, "search", algorithm),
         deterministic=args.deterministic)
     os.makedirs(args.out, exist_ok=True)

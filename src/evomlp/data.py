@@ -16,6 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .genome import build
+
 CLASS_NAMES = ("safe", "warning", "critical")
 MAX_MISSING_RATE = 0.95
 SAFE_BELOW = 0.5
@@ -119,13 +121,27 @@ def _names(value, what):
     return tuple(value)
 
 
+def _column(name, kind):
+    """(name, categories or None, onehot) of a feature of the given kind;
+    SchemaError for a kind that is not one of DataSchema's."""
+    if kind == "numeric":
+        return name, None, False
+    if isinstance(kind, dict) and set(kind) in ({"ordinal"}, {"onehot"}):
+        (how, cats), = kind.items()
+        return (name, _names(cats, f"feature {name!r} categories"),
+                how == "onehot")
+    raise SchemaError(f"feature {name!r} has unknown kind {kind!r}")
+
+
 @dataclass(frozen=True)
 class DataSchema:
     """Declares the feature columns of a raw trace and how to encode them.
 
     features maps column name -> "numeric", {"ordinal": [...]} or
     {"onehot": [...]}; settings lists the columns that must stay unchanged
-    between two paired states.
+    between two paired states. Construction parses each kind once into
+    columns, (name, categories or None for a numeric one, onehot), which
+    the encoder reads.
     """
 
     features: dict
@@ -134,54 +150,39 @@ class DataSchema:
     def __post_init__(self):
         if not isinstance(self.features, dict) or not self.features:
             raise SchemaError("schema features must be a non-empty object")
-        for name, kind in self.features.items():
-            if kind == "numeric":
-                continue
-            if isinstance(kind, dict) and set(kind) in ({"ordinal"},
-                                                        {"onehot"}):
-                _names(*kind.values(), f"feature {name!r} categories")
-                continue
-            raise SchemaError(f"feature {name!r} has unknown kind {kind!r}")
+        object.__setattr__(self, "columns", tuple(
+            _column(name, kind) for name, kind in self.features.items()))
         for name in _names(self.settings, "settings"):
             if name not in self.features:
                 raise SchemaError(f"settings column {name!r} not a feature")
 
     @classmethod
     def from_dict(cls, d):
-        """The schema a parsed JSON object declares."""
-        if not isinstance(d, dict) or "features" not in d:
-            raise SchemaError("a schema must be an object with 'features'")
-        return cls(features=d["features"],
-                   settings=_names(d.get("settings", ()), "settings"))
+        """The schema a parsed JSON object declares; ValueError naming an
+        unknown key."""
+        return build(cls, d, "schema")
 
     def encoded_names(self):
         names = []
-        for name, kind in self.features.items():
-            if isinstance(kind, dict) and "onehot" in kind:
-                names.extend(f"{name}={cat}" for cat in kind["onehot"])
-            else:
-                names.append(name)
+        for name, cats, onehot in self.columns:
+            names += [f"{name}={cat}" for cat in cats] if onehot else [name]
         return names
 
     def encode_row(self, features):
         out = []
-        for name, kind in self.features.items():
+        for name, cats, onehot in self.columns:
             value = features[name]
-            if kind == "numeric":
+            if cats is None:
                 out.append(float(value))
                 if not math.isfinite(out[-1]):
                     raise ValueError(f"{name}: {value!r} is not a finite "
                                      "number")
-            elif "ordinal" in kind:
-                cats = kind["ordinal"]
-                if value not in cats:
-                    raise ValueError(f"{name}: unknown category {value!r}")
-                out.append(float(cats.index(value)))
-            else:
-                cats = kind["onehot"]
-                if value not in cats:
-                    raise ValueError(f"{name}: unknown category {value!r}")
+            elif value not in cats:
+                raise ValueError(f"{name}: unknown category {value!r}")
+            elif onehot:
                 out.extend(1.0 if value == cat else 0.0 for cat in cats)
+            else:
+                out.append(float(cats.index(value)))
         return out
 
 
@@ -300,6 +301,14 @@ def is_missing_rate(rate):
             and 0.0 <= rate <= MAX_MISSING_RATE)
 
 
+def _generator(seed):
+    """The Generator that seed starts; ValueError naming a negative seed
+    and its value, which NumPy's own message leaves out."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def inject_missing(ds, rate, seed):
     """Zero out exactly floor(rate * n * p) uniformly chosen entries of a
     complete dataset.
@@ -318,10 +327,7 @@ def inject_missing(ds, rate, seed):
     total = n * p
     k = int(np.floor(rate * total))
     mask = np.ones(total)
-    if k:
-        rng = np.random.default_rng(seed)
-        hit = rng.choice(total, size=k, replace=False)
-        mask[hit] = 0.0
+    mask[_generator(seed).choice(total, size=k, replace=False)] = 0.0
     M = mask.reshape(n, p)
     return LabeledDataset(X=ds.X * M, y=ds.y,
                           feature_names=list(ds.feature_names), M=M)
@@ -335,7 +341,7 @@ def synthesize(n, p, n_classes, separation, seed):
     if n_classes > len(CLASS_NAMES):
         raise ValueError(f"n_classes {n_classes} exceeds the "
                          f"{len(CLASS_NAMES)} classes {CLASS_NAMES}")
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     directions = rng.standard_normal((n_classes, p))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
     norms[norms == 0] = 1.0

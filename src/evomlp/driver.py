@@ -7,6 +7,12 @@ stage reports its best genome with the EvalResult that scored it, and the
 run reports the first stage with the lowest fitness. The benchmark
 crosses algorithms x missing rates x repeats, with one fixed mask per
 rate so every algorithm faces identical missingness.
+
+The fold split (objective.split_folds) is made by whoever owns the
+dataset: run_benchmark makes one per missing rate before any cell runs,
+and a caller of layer_growth_search makes it and passes it in, since a
+run takes only a split. SearchConfig stores every algorithm in its
+canonical spelling and refuses an unknown one on construction.
 """
 
 import json
@@ -19,7 +25,7 @@ from . import objective
 from .data import (MAX_MISSING_RATE, RowParseError, inject_missing,
                    is_missing_rate)
 from .genome import Genome, SearchSpace, build, check_fields, decode, grow
-from .objective import EvalConfig, FoldSplit
+from .objective import EvalConfig
 from .pbmh import (ALGORITHM_NAMES, ConfigError, canonical_name,
                    check_population, optimize_stage)
 from .seeding import derive_seed
@@ -53,10 +59,10 @@ class SearchConfig:
                 f"missing_rates {bad} are not numbers in "
                 f"[0, {MAX_MISSING_RATE}]")
         # "de" and "DE", 0 and 0.0 name one experiment: the cell seeds
-        # hash the algorithm and repr(rate); an unknown algorithm is kept
-        # as given, so its cells fail alone
+        # hash the algorithm and repr(rate); canonical_name refuses an
+        # unknown algorithm
         object.__setattr__(self, "algorithms",
-                           tuple(_known_or_given(a) for a in self.algorithms))
+                           tuple(canonical_name(a) for a in self.algorithms))
         object.__setattr__(self, "missing_rates",
                            tuple(float(rate) for rate in self.missing_rates))
         for key in ("algorithms", "missing_rates"):
@@ -65,13 +71,6 @@ class SearchConfig:
                 raise ConfigError(f"{key} must not be empty")
             if len(set(values)) < len(values):
                 raise ConfigError(f"{key} {list(values)} repeat an entry")
-
-
-def _known_or_given(algorithm):
-    try:
-        return canonical_name(algorithm)
-    except ConfigError:
-        return algorithm
 
 
 @dataclass
@@ -108,16 +107,15 @@ def _grow_to(genome, space, n_layers, rng):
     return genome
 
 
-def layer_growth_search(algorithm, ds, cfg, seed, deterministic=False):
+def layer_growth_search(algorithm, split, cfg, seed, deterministic=False):
     """One full run: space.max_layers stages of stage_budget evaluations.
 
-    ds is a dataset or the FoldSplit of one made with cfg.eval. Returns a
-    RunRecord for the best genome over all stages; fitness and the
-    reported accuracy/F-measure come from the same evaluation.
+    split is the FoldSplit that objective.split_folds made of a dataset
+    under cfg.eval. Returns a RunRecord for the best genome over all
+    stages; fitness and the reported accuracy/F-measure come from the
+    same evaluation.
     """
     started = time.perf_counter()
-    split = ds if isinstance(ds, FoldSplit) else objective.split_folds(
-        ds, cfg.eval)
     best = None  # the first stage with the lowest best fitness
     stage_traces = []
     for n_layers in range(1, cfg.space.max_layers + 1):

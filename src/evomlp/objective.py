@@ -11,7 +11,9 @@ fold's min-max scaled training and test rows, multiplied once by the
 mask the dataset carries, its one-hot training targets, its batch order
 for every epoch and its seeded initial-weight generator.
 `driver.run_benchmark` makes one split per missing rate before any grid
-cell runs, and `evaluate` takes it in place of the dataset. The batch
+cell runs, `cli`'s search command makes the one split of its run, and
+`driver.layer_growth_search` takes only a split; `evaluate` takes it in
+place of the dataset, or makes it from a dataset it is given. The batch
 orders take epochs x folds x training rows x 8 bytes, 5.4 MB at the
 default EvalConfig on a 1 500-row dataset.
 

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from evomlp.cli import CsvData, SyntheticData, load_config, main
-from evomlp.data import read_dataset_csv, synthesize, write_dataset_csv
+from evomlp.data import (DataSchema, read_dataset_csv, synthesize,
+                         write_dataset_csv)
 from evomlp.driver import RunRecord, SearchConfig, config_manifest
 from evomlp.genome import SearchSpace, build
 from evomlp.objective import EvalConfig
@@ -98,8 +99,9 @@ def test_prepare_charging_only_warns_exit_0(tmp_path, trace_files,
 
 
 @pytest.mark.parametrize("schema, message", [
-    ([SCHEMA], "must be an object with 'features'"),
-    ({"settings": ["wifi"]}, "must be an object with 'features'"),
+    ([SCHEMA], "schema must be a JSON object"),
+    ({"settings": ["wifi"]},
+     "missing 1 required positional argument: 'features'"),
     ({"features": [["cpu", "numeric"]]}, "features must be a non-empty"),
     ({"features": {}}, "features must be a non-empty object"),
     ({**SCHEMA, "settings": "cpu"}, "settings must be a list of distinct"),
@@ -107,8 +109,11 @@ def test_prepare_charging_only_warns_exit_0(tmp_path, trace_files,
      "'wifi' categories must be a list of distinct strings"),
     ({"features": {"wifi": {"onehot": ["on", "on", "off"]}}},
      "'wifi' categories must be a list of distinct strings"),
+    ({"features": SCHEMA["features"], "setting": ["wifi"]},
+     "unknown schema keys: setting"),
 ], ids=["list", "no-features", "features-list", "features-empty",
-        "settings-string", "categories-string", "categories-repeated"])
+        "settings-string", "categories-string", "categories-repeated",
+        "misspelled-key"])
 def test_prepare_bad_schema_exits_2(tmp_path, trace_files, capsys, schema,
                                     message):
     raw, _ = trace_files
@@ -119,6 +124,21 @@ def test_prepare_bad_schema_exits_2(tmp_path, trace_files, capsys, schema,
                  "--output", str(out)])
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["inject-missing", "benchmark"])
+def test_negative_seed_exits_2_naming_it(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    if command == "inject-missing":
+        prepared = tmp_path / "prepared.csv"
+        write_dataset_csv(synthesize(30, 3, 3, 3.0, seed=0), prepared)
+        argv = ["--input", str(prepared), "--rate", "0.2", "--seed", "-1"]
+    else:  # the config's synthetic dataset
+        argv = ["--config", str(tiny_config(
+            tmp_path, dataset={"type": "synthetic", "n": 60, "seed": -1}))]
+    assert main([command, *argv, "--out", str(out)]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -204,6 +224,13 @@ def test_search_writes_run_json(tmp_path):
     record = json.loads((out / "run.json").read_text())
     assert record["algorithm"] == "DE"
     assert record["n_evaluations"] == 16
+
+
+def test_search_without_data_or_config_exits_2(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["search", "--algorithm", "DE", "--out", str(out)]) == 2
+    assert "needs --data or a --config" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_search_mask_without_data_exits_2(tmp_path, capsys):
@@ -375,6 +402,7 @@ def test_bad_config_exits_2_before_work(tmp_path, capsys, overrides):
 _GOOD_INPUTS = {
     SearchConfig: {}, EvalConfig: {}, SearchSpace: {}, SyntheticData: {},
     CsvData: {"path": "data.csv"},
+    DataSchema: {"features": {"cpu": "numeric"}},
     RunRecord: {"algorithm": "DE", "missing_rate": 0.2, "repeat": 0,
                 "fitness": 10.0, "accuracy": 90.0, "f_measure": 88.0,
                 "architecture": {}, "genome": {}, "stage_traces": [],

@@ -390,3 +390,29 @@ def test_onehot_encoding():
     ds = ingest(lines, schema)
     assert ds.feature_names == ["net=none", "net=wifi", "net=cell"]
     assert ds.X.tolist() == [[0.0, 1.0, 0.0]]
+
+
+def test_schema_encodes_interleaved_kinds_in_declared_order():
+    schema = DataSchema(features={
+        "net": {"onehot": ["none", "wifi", "cell"]},
+        "cpu": "numeric",
+        "screen": {"ordinal": ["off", "dim", "on"]},
+        "gps": {"onehot": ["off", "on"]},
+        "temperature": "numeric",
+        "wifi": {"ordinal": ["off", "on"]}})
+    assert schema.encoded_names() == [
+        "net=none", "net=wifi", "net=cell", "cpu", "screen", "gps=off",
+        "gps=on", "temperature", "wifi"]
+    assert schema.encode_row({
+        "net": "cell", "cpu": "0.25", "screen": "dim", "gps": "off",
+        "temperature": "31.5", "wifi": "on"}) == [
+        0.0, 0.0, 1.0, 0.25, 1.0, 1.0, 0.0, 31.5, 1.0]
+
+
+@pytest.mark.parametrize("kind", ["ordinal", "onehot"])
+def test_schema_refuses_an_unknown_category(kind):
+    schema = DataSchema(features={"cpu": "numeric",
+                                  "net": {kind: ["wifi", "cell"]}})
+    with pytest.raises(ValueError, match="net: unknown category 'lte'"):
+        schema.encode_row({"cpu": "0.5", "net": "lte"})
+

@@ -14,7 +14,8 @@ from evomlp.data import inject_missing, synthesize
 from evomlp.driver import (RunRecord, SearchConfig, config_manifest,
                            layer_growth_search, load_records, run_benchmark)
 from evomlp.genome import SearchSpace, build
-from evomlp.objective import EvalConfig, FoldSplit
+from evomlp.objective import EvalConfig, FoldSplit, split_folds
+from evomlp.pbmh import ConfigError
 from evomlp.seeding import derive_seed
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -60,7 +61,8 @@ def test_seed_derive_no_collisions_over_grid():
 
 def test_layer_growth_budget_ledger(blob_data):
     cfg = tiny_config()
-    record = layer_growth_search("DE", blob_data, cfg, seed=1)
+    record = layer_growth_search(
+        "DE", split_folds(blob_data, cfg.eval), cfg, seed=1)
     assert record.n_evaluations == cfg.space.max_layers * cfg.stage_budget
     assert [len(t) for t in record.stage_traces] == [cfg.stage_budget] * 2
 
@@ -78,7 +80,8 @@ def test_layer_growth_default_ledger_is_240(blob_data, monkeypatch):
 
     monkeypatch.setattr(driver_mod.objective, "evaluate", fake_evaluate)
     cfg = SearchConfig()  # paper-scale defaults
-    record = layer_growth_search("GA", blob_data, cfg, seed=0)
+    record = layer_growth_search(
+        "GA", split_folds(blob_data, cfg.eval), cfg, seed=0)
     assert record.n_evaluations == 8 * 30 == 240
     assert len(record.stage_traces) == 8
 
@@ -86,14 +89,16 @@ def test_layer_growth_default_ledger_is_240(blob_data, monkeypatch):
 def test_layer_growth_single_stage(blob_data):
     cfg = tiny_config(space=SearchSpace(neuron_min=1, neuron_max=8,
                                         max_layers=1))
-    record = layer_growth_search("DE", blob_data, cfg, seed=1)
+    record = layer_growth_search(
+        "DE", split_folds(blob_data, cfg.eval), cfg, seed=1)
     assert record.n_evaluations == cfg.stage_budget
     assert len(record.stage_traces) == 1
 
 
 def test_layer_growth_best_is_global_min(blob_data):
     cfg = tiny_config()
-    record = layer_growth_search("PSO", blob_data, cfg, seed=2)
+    record = layer_growth_search(
+        "PSO", split_folds(blob_data, cfg.eval), cfg, seed=2)
     flat = [f for trace in record.stage_traces for f in trace]
     assert record.fitness == min(flat)
     assert record.accuracy == pytest.approx(100.0 - record.fitness)
@@ -104,14 +109,17 @@ def test_layer_growth_best_is_global_min(blob_data):
 
 def test_layer_growth_deterministic(blob_data):
     cfg = tiny_config()
-    a = layer_growth_search("DE", blob_data, cfg, seed=3, deterministic=True)
-    b = layer_growth_search("DE", blob_data, cfg, seed=3, deterministic=True)
+    a = layer_growth_search("DE", split_folds(blob_data, cfg.eval), cfg,
+                            seed=3, deterministic=True)
+    b = layer_growth_search("DE", split_folds(blob_data, cfg.eval), cfg,
+                            seed=3, deterministic=True)
     assert a.to_dict() == b.to_dict()
 
 
 def test_run_record_round_trip(blob_data):
     cfg = tiny_config()
-    record = layer_growth_search("DE", blob_data, cfg, seed=4)
+    record = layer_growth_search(
+        "DE", split_folds(blob_data, cfg.eval), cfg, seed=4)
     clone = build(RunRecord,
                   json.loads(json.dumps(record.to_dict(), sort_keys=True)),
                   "record")
@@ -155,14 +163,29 @@ def test_benchmark_one_name_per_algorithm(blob_data):
     assert runs[0] == runs[1]
 
 
-def test_benchmark_failed_cell_recorded_and_skipped(blob_data):
-    cfg = tiny_config(algorithms=("DE", "bogus"), repeats=1)
+def test_benchmark_failed_cell_recorded_and_skipped(blob_data,
+                                                   monkeypatch):
+    import evomlp.driver as driver_mod
+    search = driver_mod.layer_growth_search
+
+    def fail_pso(algorithm, *args, **kwargs):
+        if algorithm == "PSO":
+            raise RuntimeError("PSO diverged")
+        return search(algorithm, *args, **kwargs)
+
+    monkeypatch.setattr(driver_mod, "layer_growth_search", fail_pso)
+    cfg = tiny_config(algorithms=("DE", "PSO"), repeats=1)
     records = run_benchmark(blob_data, cfg, deterministic=True)
     assert len(records) == 4
     failed = [r for r in records if r.error]
-    assert len(failed) == 2  # the bogus algorithm in both rates
-    assert all(r.algorithm == "bogus" for r in failed)
+    assert len(failed) == 2  # the failing algorithm in both rates
+    assert all(r.algorithm == "PSO" for r in failed)
     assert all(not r.error for r in records if r.algorithm == "DE")
+
+
+def test_search_config_refuses_an_unknown_algorithm():
+    with pytest.raises(ConfigError, match="unknown algorithm 'bogus'"):
+        tiny_config(algorithms=("DE", "bogus"))
 
 
 def test_benchmark_rejects_masked_dataset(blob_data):
