@@ -50,6 +50,7 @@ class StateRow:
     battery_level: float
     battery_state: str
     features: dict
+    lineno: int = 0  # the trace line the row starts on
 
 
 @dataclass(frozen=True)
@@ -60,11 +61,12 @@ class LabeledDataset:
     complete dataset.
 
     Construction checks every dataset, however it was made: SchemaError
-    unless X is 2-D and finite, M has X's shape and holds only 0 and 1,
-    y holds n integer labels of CLASS_NAMES, and there are p feature
-    names. A dataset is frozen and keeps read-only copies of X, y and
-    M, so nothing reaches it past that check, neither through the
-    dataset nor through the caller's arrays, which stay writable."""
+    unless X is 2-D with at least one column and finite, M has X's
+    shape and holds only 0 and 1, y holds n integer labels of
+    CLASS_NAMES, and there are p feature names. A dataset is frozen and
+    keeps read-only copies of X, y and M, so nothing reaches it past
+    that check, neither through the dataset nor through the caller's
+    arrays, which stay writable."""
 
     X: np.ndarray
     y: np.ndarray
@@ -78,9 +80,9 @@ class LabeledDataset:
             copy = np.array(getattr(self, name))
             copy.flags.writeable = False
             object.__setattr__(self, name, copy)
-        if self.X.ndim != 2:
-            raise SchemaError(f"features must be 2-D, got shape "
-                              f"{self.X.shape}")
+        if self.X.ndim != 2 or self.X.shape[1] < 1:
+            raise SchemaError(f"features must be 2-D with at least one "
+                              f"column, got shape {self.X.shape}")
         if not np.isfinite(self.X).all():
             raise SchemaError(f"{np.count_nonzero(~np.isfinite(self.X))} "
                               "feature values are not finite numbers")
@@ -213,14 +215,17 @@ def label_ecpm(ecpm):
 
 
 def _rows(reader, header):
-    """(line number, cells) of each row after the header; RowParseError
-    naming the line for a row, a blank one included, whose cell count
-    differs from the header's."""
-    for lineno, cells in enumerate(reader, start=2):
+    """(line number, cells) of each row after the header, the number
+    being the physical line the row starts on (a quoted cell may span
+    lines); RowParseError naming the line for a row, a blank one
+    included, whose cell count differs from the header's."""
+    lineno = reader.line_num + 1
+    for cells in reader:
         if len(cells) != len(header):
             raise RowParseError(f"line {lineno}: {len(cells)} cells under a "
                                 f"header of {len(header)}")
         yield lineno, cells
+        lineno = reader.line_num + 1
 
 
 def _parse_state_rows(stream, schema):
@@ -249,6 +254,7 @@ def _parse_state_rows(stream, schema):
                 battery_level=level,
                 battery_state=state,
                 features={name: rec[name] for name in schema.features},
+                lineno=lineno,
             ))
         except ValueError as exc:
             raise RowParseError(f"line {lineno}: {exc}") from exc
@@ -285,7 +291,7 @@ def ingest(stream, schema):
         try:
             encoded = schema.encode_row(a.features)
         except ValueError as exc:
-            raise RowParseError(f"line {j + 2}: {exc}") from exc
+            raise RowParseError(f"line {a.lineno}: {exc}") from exc
         X_rows.append(encoded)
         labels.append(label_ecpm(compute_ecpm(a, b)))
 

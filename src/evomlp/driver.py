@@ -24,7 +24,8 @@ import numpy as np
 from . import objective
 from .data import (MAX_MISSING_RATE, RowParseError, inject_missing,
                    is_missing_rate)
-from .genome import Genome, SearchSpace, build, check_fields, decode, grow
+from .genome import (Genome, SearchSpace, build, check_fields, check_value,
+                     decode, grow)
 from .objective import EvalConfig
 from .pbmh import (ALGORITHM_NAMES, ConfigError, canonical_name,
                    check_population, optimize_stage)
@@ -92,6 +93,9 @@ class RunRecord:
     def __post_init__(self):
         # an error record may hold None in its float fields
         check_fields(self, none_ok=() if self.error is None else (float,))
+        if self.error is None and "learning_rate" in self.architecture:
+            check_value("architecture.learning_rate",
+                        self.architecture["learning_rate"], float)
 
     def to_dict(self):
         d = asdict(self)

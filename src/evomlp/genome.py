@@ -34,36 +34,41 @@ class CapacityError(ValueError):
     """Raised when a genome already has the maximum number of layers."""
 
 
+def check_value(name, value, kind):
+    """value as a field `name` annotated `kind` stores it; TypeError
+    unless it is an integer (a bool does not count) for int, a finite
+    real, stored as a float, for float, a list or tuple, stored as a
+    tuple, for tuple, and an instance of kind for any other class."""
+    if kind in (int, float) and isinstance(value, bool):
+        ok = False
+    elif kind is int:
+        ok = isinstance(value, numbers.Integral)
+    elif kind is float and isinstance(value, numbers.Real):
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond the float range
+            value = math.inf
+        ok = math.isfinite(value)
+    elif kind is tuple and isinstance(value, list):
+        value, ok = tuple(value), True
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise TypeError(f"{name} must be {'a finite ' * (kind is float)}"
+                        f"{kind.__name__}, got {value!r}")
+    return value
+
+
 def check_fields(instance, none_ok=()):
-    """TypeError unless each field of a dataclass instance holds a value
-    of its annotation: an int field an integer (a bool does not count), a
-    float field a finite real, stored as a float, a tuple field a list or
-    tuple, stored as a tuple, and any other field an instance of its
-    class. None passes where the field's default is None or its
+    """check_value for each field of a dataclass instance, storing what
+    it returns. None passes where the field's default is None or its
     annotation is in none_ok."""
     for f in fields(instance):
         value = getattr(instance, f.name)
         if value is None and (f.default is None or f.type in none_ok):
             continue
-        if f.type in (int, float) and isinstance(value, bool):
-            ok = False
-        elif f.type is int:
-            ok = isinstance(value, numbers.Integral)
-        elif f.type is float and isinstance(value, numbers.Real):
-            try:
-                value = float(value)
-            except OverflowError:  # an int beyond the float range
-                value = math.inf
-            ok = math.isfinite(value)
-        elif f.type is tuple and isinstance(value, list):
-            value, ok = tuple(value), True
-        else:
-            ok = isinstance(value, f.type)
-        if not ok:
-            raise TypeError(f"{f.name} must be "
-                            f"{'a finite ' * (f.type is float)}"
-                            f"{f.type.__name__}, got {value!r}")
-        object.__setattr__(instance, f.name, value)
+        object.__setattr__(instance, f.name,
+                           check_value(f.name, value, f.type))
 
 
 def build(cls, raw, context):

@@ -6,9 +6,17 @@ candidates and calls `budget.eval`, and the Budget ends it; `minimize`
 then checks, for every caller, that exactly the requested number of
 evaluations was spent. The objective may return anything `float()`
 accepts; the best candidate's own return is `OptResult.value`.
+
+`_REGISTRY` is the one place that names each algorithm's loop, with its
+variant and constants. The thirteen run on six loops: `run_ga`,
+`run_ma` and `run_cmaes`; `de._current_to_rand` for DE and SAP-DE;
+`de._current_to_pbest` for JADE, SHADE and LSHADE, which differ only in
+the F/CR memory class (a fresh one each run) and LSHADE's shrinking
+population; and `swarm._fly` for the five PSO variants.
 """
 
 from contextlib import suppress
+from functools import partial
 
 import numpy as np
 
@@ -17,12 +25,12 @@ from .cmaes import CMAES_CONSTANTS, run_cmaes
 from .core import (Budget, BudgetSpent, ConfigError,
                    NonFiniteObjectiveError, OptResult, check_population)
 from .de import (DE_CONSTANTS, JADE_CONSTANTS, LSHADE_CONSTANTS,
-                 SAPDE_CONSTANTS, SHADE_CONSTANTS, run_de, run_jade,
-                 run_lshade, run_sapde, run_shade)
+                 SAPDE_CONSTANTS, SHADE_CONSTANTS, _current_to_pbest,
+                 _current_to_rand, _JadeMemory, _ShadeMemory)
 from .genetic import GA_CONSTANTS, MA_CONSTANTS, run_ga, run_ma
 from .swarm import (CLPSO_CONSTANTS, CPSO_CONSTANTS, HPSO_CONSTANTS,
-                    PPSO_CONSTANTS, PSO_CONSTANTS, run_clpso, run_cpso,
-                    run_hpso, run_ppso, run_pso)
+                    PPSO_CONSTANTS, PSO_CONSTANTS, _clpso, _cpso, _fly,
+                    _hpso, _ppso, _pso)
 
 __all__ = [
     "ALGORITHM_NAMES",
@@ -38,18 +46,20 @@ __all__ = [
 
 _REGISTRY = {
     "GA": (run_ga, GA_CONSTANTS),
-    "DE": (run_de, DE_CONSTANTS),
+    "DE": (partial(_current_to_rand, resize=False), DE_CONSTANTS),
     "MA": (run_ma, MA_CONSTANTS),
-    "PSO": (run_pso, PSO_CONSTANTS),
+    "PSO": (partial(_fly, variant=_pso), PSO_CONSTANTS),
     "CMA-ES": (run_cmaes, CMAES_CONSTANTS),
-    "HPSO": (run_hpso, HPSO_CONSTANTS),
-    "CPSO": (run_cpso, CPSO_CONSTANTS),
-    "CLPSO": (run_clpso, CLPSO_CONSTANTS),
-    "SAP-DE": (run_sapde, SAPDE_CONSTANTS),
-    "JADE": (run_jade, JADE_CONSTANTS),
-    "SHADE": (run_shade, SHADE_CONSTANTS),
-    "LSHADE": (run_lshade, LSHADE_CONSTANTS),
-    "PPSO": (run_ppso, PPSO_CONSTANTS),
+    "HPSO": (partial(_fly, variant=_hpso), HPSO_CONSTANTS),
+    "CPSO": (partial(_fly, variant=_cpso), CPSO_CONSTANTS),
+    "CLPSO": (partial(_fly, variant=_clpso), CLPSO_CONSTANTS),
+    "SAP-DE": (partial(_current_to_rand, resize=True), SAPDE_CONSTANTS),
+    "JADE": (partial(_current_to_pbest, memory=_JadeMemory), JADE_CONSTANTS),
+    "SHADE": (partial(_current_to_pbest, memory=_ShadeMemory),
+              SHADE_CONSTANTS),
+    "LSHADE": (partial(_current_to_pbest, memory=_ShadeMemory, shrink=True),
+               LSHADE_CONSTANTS),
+    "PPSO": (partial(_fly, variant=_ppso), PPSO_CONSTANTS),
 }
 
 ALGORITHM_NAMES = tuple(_REGISTRY)

@@ -84,17 +84,6 @@ def _abs_resize(budget, lo, hi, pop_size, rng, X, f, pi):
     return X, f, pi
 
 
-def run_de(budget, lo, hi, pop_size, rng, x0=None):
-    _current_to_rand(budget, lo, hi, pop_size, rng, x0, resize=False)
-
-
-def run_sapde(budget, lo, hi, pop_size, rng, x0=None):
-    """Self-adaptive population size (ABS): each member carries its own
-    population-size gene; the next generation's size is the rounded mean
-    of the genes."""
-    _current_to_rand(budget, lo, hi, pop_size, rng, x0, resize=True)
-
-
 def lshade_population_size(pop_init, used, budget):
     """Linear-in-evaluations reduction from pop_init down to LSHADE's
     min_pop."""
@@ -185,10 +174,11 @@ def _trim_archive(archive, cap, rng):
 
 def _current_to_pbest(budget, lo, hi, pop_size, rng, x0, memory,
                       shrink=False):
-    """current-to-pbest/1/bin with an archive of replaced targets;
-    `memory` draws each member's CR, F and p-best fraction and learns
-    from the successful ones; with `shrink`, the population shrinks
-    linearly in evaluations (LSHADE)."""
+    """current-to-pbest/1/bin with an archive of replaced targets; a
+    fresh `memory()` draws each member's CR, F and p-best fraction and
+    learns from the successful ones; with `shrink`, the population
+    shrinks linearly in evaluations (LSHADE)."""
+    memory = memory()
     archive = []
     X, f = init_population(budget, lo, hi, pop_size, rng, x0)
     while not budget.exhausted:
@@ -219,18 +209,3 @@ def _current_to_pbest(budget, lo, hi, pop_size, rng, x0, memory,
                 keep = np.argsort(f)[:target]
                 X, f = X[keep], f[keep]
                 _trim_archive(archive, target, rng)
-
-
-def run_jade(budget, lo, hi, pop_size, rng, x0=None):
-    _current_to_pbest(budget, lo, hi, pop_size, rng, x0, _JadeMemory())
-
-
-def run_shade(budget, lo, hi, pop_size, rng, x0=None):
-    _current_to_pbest(budget, lo, hi, pop_size, rng, x0, _ShadeMemory())
-
-
-def run_lshade(budget, lo, hi, pop_size, rng, x0=None):
-    """SHADE with the population shrinking linearly in evaluations, down
-    to LSHADE's min_pop members at budget exhaustion."""
-    _current_to_pbest(budget, lo, hi, pop_size, rng, x0, _ShadeMemory(),
-                      shrink=True)

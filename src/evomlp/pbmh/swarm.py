@@ -32,8 +32,6 @@ The velocity rules themselves are standalone functions, so they can be
 exercised directly.
 """
 
-from functools import partial
-
 import numpy as np
 
 from .core import init_population
@@ -269,10 +267,3 @@ def _ppso(swarm, budget, lo, hi, rng):
     while not budget.exhausted:
         g, _ = swarm.best()
         yield velocity
-
-
-run_pso = partial(_fly, variant=_pso)
-run_hpso = partial(_fly, variant=_hpso)
-run_cpso = partial(_fly, variant=_cpso)
-run_clpso = partial(_fly, variant=_clpso)
-run_ppso = partial(_fly, variant=_ppso)

@@ -142,6 +142,24 @@ def test_negative_seed_exits_2_naming_it(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["benchmark", "search",
+                                     "inject-missing"])
+def test_dataset_without_a_feature_column_exits_2(tmp_path, capsys,
+                                                   command):
+    labels = tmp_path / "labels.csv"
+    labels.write_text("label\n" + "safe\nwarning\ncritical\n" * 20)
+    argv = {
+        "benchmark": ["--config", str(tiny_config(
+            tmp_path, dataset={"type": "csv", "path": "labels.csv"}))],
+        "search": ["--algorithm", "DE", "--data", str(labels)],
+        "inject-missing": ["--input", str(labels), "--rate", "0.2"],
+    }[command]
+    out = tmp_path / "out"
+    assert main([command, *argv, "--out", str(out)]) == 2
+    assert "at least one column, got shape (60, 0)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_inject_missing_outputs(tmp_path, trace_files):
     raw, schema = trace_files
     prep = tmp_path / "prep"
@@ -698,6 +716,11 @@ _BAD_RESULTS_LINES = {
         dict(r, repeat=r["repeat"] + 1, fitness=float("inf"))),
     "overflowing_fitness": lambda r: json.dumps(
         dict(r, repeat=r["repeat"] + 1, fitness=10 ** 400)),
+    **{f"{name}_learning_rate": lambda r, lr=lr: json.dumps(dict(
+        r, repeat=r["repeat"] + 1,
+        architecture=dict(r["architecture"], learning_rate=lr)))
+       for name, lr in [("list", [1]), ("string", "x"), ("bool", True),
+                        ("null", None)]},
 }
 
 

@@ -257,6 +257,18 @@ def test_dataset_csv_rejects_blank_line(tmp_path):
         read_dataset_csv(path)
 
 
+@pytest.mark.parametrize("text", [
+    '"f0\nsplit",f1,label\n1.0,2.0,safe\n0.5,x,warning\n',
+    'f0,f1,label\n"1.0\n",2.0,safe\n0.5,x,warning\n',
+], ids=["header", "row"])
+def test_dataset_csv_names_the_line_a_row_starts_on(tmp_path, text):
+    # a quoted cell spans lines 1-2 or 2-3, so the bad row is on line 4
+    path = tmp_path / "ds.csv"
+    path.write_text(text)
+    with pytest.raises(RowParseError, match="^line 4: "):
+        read_dataset_csv(path)
+
+
 @pytest.mark.parametrize("row", ["1.0,safe", "1.0,2.0,3.0,safe"])
 def test_dataset_csv_rejects_row_unlike_header(tmp_path, row):
     path = tmp_path / "ds.csv"
@@ -274,6 +286,23 @@ def test_ingest_rejects_row_unlike_header(line):
                          f"0,discharging,80,1.0,on\n{line}\n"
                          "120,discharging,78,1.0,on\n")
     with pytest.raises(RowParseError, match="line 3: .* header of 5"):
+        ingest(stream, SCHEMA)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("180,discharging,77,1.0,lte", "line 5: wifi: unknown category 'lte'"),
+    ("inf,discharging,77,1.0,lte", "line 5: timestamp 'inf'"),
+], ids=["category", "timestamp"])
+def test_ingest_names_the_line_a_row_starts_on(row, message):
+    # the second row's quoted note spans lines 3 and 4; the fourth row
+    # keeps wifi, so the bad row is paired and encoded
+    stream = io.StringIO(
+        "timestamp,battery_state,battery_level,cpu,wifi,note\n"
+        "0,discharging,80,1.0,on,\n"
+        '60,discharging,79,1.0,on,"two\nlines"\n'
+        f"{row},\n"
+        "240,discharging,76,1.0,lte,\n")
+    with pytest.raises(RowParseError, match=f"^{message}"):
         ingest(stream, SCHEMA)
 
 
@@ -323,9 +352,10 @@ def _with_cell(value):
     ({"y": (np.arange(9) % 3).astype(float)}, "labels"),
     ({"y": np.arange(9) % 3 + 1}, "labels"),
     ({"feature_names": ["a", "b", "c"]}, "feature names"),
+    ({"X": _GATE_X[:, :0], "feature_names": []}, "at least one column"),
 ], ids=["nan_cell", "inf_cell", "1d_features", "half_mask", "mask_shape",
         "short_labels", "float_labels", "label_outside_classes",
-        "too_few_names"])
+        "too_few_names", "no_feature_column"])
 def test_dataset_rejects_malformed_fields(fields, message):
     kwargs = dict(X=_GATE_X, y=np.arange(9) % 3,
                   feature_names=["a", "b", "c", "d"])
