@@ -147,28 +147,21 @@ def cmd_inject_missing(args):
     masked = data.inject_missing(ds, args.rate, args.seed)
     os.makedirs(args.out, exist_ok=True)
     masked_csv = os.path.join(args.out, "masked.csv")
-    mask_csv = os.path.join(args.out, "mask.csv")
     data.write_dataset_csv(masked, masked_csv)
-    data.write_mask_csv(masked, mask_csv)
-    removed = int(masked.M.size - masked.M.sum())
-    print(f"masked {removed} of {masked.M.size} entries "
-          f"-> {masked_csv}, {mask_csv}")
+    removed = np.count_nonzero(ds.M) - np.count_nonzero(masked.M)
+    print(f"masked {removed} of {masked.M.size} entries -> {masked_csv}")
     return EXIT_OK
 
 
 def cmd_search(args):
     if not (args.data or args.config):
         raise ConfigError("search needs --data or a --config with a dataset")
-    if args.mask and not args.data:
-        raise ConfigError("--mask masks the rows of --data; give both")
     if args.config:
         cfg, dataset_spec = load_config(args.config)
     else:
         cfg, dataset_spec = driver.SearchConfig(), None
     algorithm = canonical_name(args.algorithm)
-    if args.mask:
-        ds = data.read_masked_csv(args.data, args.mask)
-    elif args.data:
+    if args.data:
         ds = data.read_dataset_csv(args.data)
     else:
         ds = load_dataset(dataset_spec,
@@ -269,7 +262,8 @@ def build_parser():
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("inject-missing",
-                       help="zero out a fraction of entries with a mask")
+                       help="blank out a fraction of a dataset CSV's "
+                            "entries, drawn among its observed ones")
     p.add_argument("--input", required=True)
     p.add_argument("--rate", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -280,7 +274,6 @@ def build_parser():
                        help="one layer-growth search with one algorithm")
     p.add_argument("--algorithm", required=True)
     p.add_argument("--data")
-    p.add_argument("--mask")
     p.add_argument("--config")
     p.add_argument("--out", required=True)
     p.add_argument("--deterministic", action="store_true")

@@ -5,14 +5,16 @@ matrix: charging states are dropped, consecutive discharging states are
 paired, each pair's battery drop per minute becomes its class label, and
 the features of the earlier state describe the instance. Every dataset
 carries a binary mask of its observed entries, all ones when the dataset
-is complete; controlled missingness is injected afterwards by zeroing
-entries of a complete dataset and of its mask.
+is complete. An empty feature cell is a missing value, in a raw trace
+and in a dataset CSV alike: it reads as value 0 and mask 0, and a dataset
+CSV writes an empty cell wherever the mask is 0. Controlled missingness
+is injected afterwards by zeroing observed entries and their mask.
 """
 
 import csv
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,10 +65,10 @@ class LabeledDataset:
     Construction checks every dataset, however it was made: SchemaError
     unless X is 2-D with at least one column and finite, M has X's
     shape and holds only 0 and 1, y holds n integer labels of
-    CLASS_NAMES, and there are p feature names. A dataset is frozen and
-    keeps read-only copies of X, y and M, so nothing reaches it past
-    that check, neither through the dataset nor through the caller's
-    arrays, which stay writable."""
+    CLASS_NAMES, and there are p distinct feature names. A dataset is
+    frozen and keeps read-only copies of X, y and M, so nothing reaches
+    it past that check, neither through the dataset nor through the
+    caller's arrays, which stay writable."""
 
     X: np.ndarray
     y: np.ndarray
@@ -102,6 +104,7 @@ class LabeledDataset:
         if len(self.feature_names) != self.p:
             raise SchemaError(f"{len(self.feature_names)} feature names "
                               f"for {self.p} features")
+        _names(self.feature_names, "feature names")
 
     @property
     def n(self):
@@ -171,10 +174,17 @@ class DataSchema:
         return names
 
     def encode_row(self, features):
-        out = []
+        """(values, mask) of one row's features; an empty cell is missing,
+        so every column it encodes to, all of a one-hot feature's, gets
+        value 0 and mask 0."""
+        out, mask = [], []
         for name, cats, onehot in self.columns:
             value = features[name]
-            if cats is None:
+            width = len(cats) if onehot else 1
+            mask += [float(value != "")] * width
+            if value == "":
+                out += [0.0] * width
+            elif cats is None:
                 out.append(float(value))
                 if not math.isfinite(out[-1]):
                     raise ValueError(f"{name}: {value!r} is not a finite "
@@ -185,7 +195,7 @@ class DataSchema:
                 out.extend(1.0 if value == cat else 0.0 for cat in cats)
             else:
                 out.append(float(cats.index(value)))
-        return out
+        return out, mask
 
 
 def compute_ecpm(state1, state2):
@@ -249,6 +259,9 @@ def _parse_state_rows(stream, schema):
             if not math.isfinite(timestamp):
                 raise ValueError(f"timestamp {rec['timestamp']!r} is not a "
                                  "finite number")
+            for name in schema.settings:
+                if rec[name] == "":  # pairing compares it
+                    raise ValueError(f"settings column {name!r} is empty")
             rows.append(StateRow(
                 timestamp=timestamp,
                 battery_level=level,
@@ -268,7 +281,8 @@ def ingest(stream, schema):
     excluded, which leaves two discharging rows (every charging row is
     excluded, and by the charging-gap rule a charging state between two
     discharging ones also knocks out the next row), the settings columns
-    must match, and time must advance.
+    must match, and time must advance. An empty feature cell is missing
+    (DataSchema.encode_row); an empty settings cell is a RowParseError.
     """
     rows = _parse_state_rows(stream, schema)
 
@@ -279,7 +293,7 @@ def ingest(stream, schema):
                 and rows[j + 1].battery_state == DISCHARGING):
             excluded[j + 1] = True
 
-    X_rows, labels = [], []
+    X_rows, M_rows, labels = [], [], []
     for j in range(len(rows) - 1):
         a, b = rows[j], rows[j + 1]
         if excluded[j] or excluded[j + 1]:
@@ -289,16 +303,14 @@ def ingest(stream, schema):
         if any(a.features[s] != b.features[s] for s in schema.settings):
             continue
         try:
-            encoded = schema.encode_row(a.features)
+            values, mask = schema.encode_row(a.features)
         except ValueError as exc:
             raise RowParseError(f"line {a.lineno}: {exc}") from exc
-        X_rows.append(encoded)
+        X_rows.append(values)
+        M_rows.append(mask)
         labels.append(label_ecpm(compute_ecpm(a, b)))
 
-    names = schema.encoded_names()
-    return LabeledDataset(
-        X=np.array(X_rows, dtype=float).reshape(len(X_rows), len(names)),
-        y=np.array(labels, dtype=int), feature_names=names)
+    return _dataset(X_rows, M_rows, labels, schema.encoded_names())
 
 
 def is_missing_rate(rate):
@@ -316,25 +328,28 @@ def _generator(seed):
 
 
 def inject_missing(ds, rate, seed):
-    """Zero out exactly floor(rate * n * p) uniformly chosen entries of a
-    complete dataset.
+    """Zero out exactly floor(rate * n * p) more entries, drawn uniformly
+    among the observed ones.
 
-    The chosen positions get mask 0 and value 0; everything else is kept.
-    The same seed always removes the same positions. A dataset with a
-    missing entry is a ValueError: its mask would be drawn over.
+    The rate counts entries of the whole table, missing ones included.
+    The chosen positions get mask 0 and value 0; everything else, every
+    earlier missing entry too, is kept. The same seed always removes the
+    same positions, and on a complete dataset the draw is choice(n * p).
+    A ValueError names both counts when fewer entries are observed.
     """
     if not is_missing_rate(rate):
         raise ValueError(
             f"missing rate {rate!r} is not a number in "
             f"[0, {MAX_MISSING_RATE}]")
-    if not ds.M.all():
-        raise ValueError("the dataset already has missing entries")
-    n, p = ds.X.shape
-    total = n * p
-    k = int(np.floor(rate * total))
-    mask = np.ones(total)
-    mask[_generator(seed).choice(total, size=k, replace=False)] = 0.0
-    M = mask.reshape(n, p)
+    k = int(np.floor(rate * ds.M.size))
+    observed = np.count_nonzero(ds.M)
+    if k > observed:
+        raise ValueError(f"missing rate {rate} masks {k} entries, but only "
+                         f"{observed} of {ds.M.size} are observed")
+    # drawn before M is copied, so the index array is freed by then
+    drawn = _generator(seed).choice(np.flatnonzero(ds.M), k, replace=False)
+    M = ds.M.copy()
+    M.flat[drawn] = 0.0
     return LabeledDataset(X=ds.X * M, y=ds.y,
                           feature_names=list(ds.feature_names), M=M)
 
@@ -366,16 +381,26 @@ def synthesize(n, p, n_classes, separation, seed):
     return LabeledDataset(X=X[order], y=y[order], feature_names=names)
 
 
+def _dataset(X_rows, M_rows, labels, names):
+    shape = (len(X_rows), len(names))
+    return LabeledDataset(X=np.array(X_rows, dtype=float).reshape(shape),
+                          y=np.array(labels, dtype=int), feature_names=names,
+                          M=np.array(M_rows, dtype=float).reshape(shape))
+
+
 def write_dataset_csv(ds, path):
+    """One row per instance, an empty cell where an entry is missing."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(ds.feature_names) + ["label"])
-        for xi, yi in zip(ds.X, ds.y):
-            writer.writerow([repr(float(v)) for v in xi]
-                            + [CLASS_NAMES[yi]])
+        for xi, mi, yi in zip(ds.X, ds.M, ds.y):
+            writer.writerow([repr(float(v)) if m else ""
+                             for v, m in zip(xi, mi)] + [CLASS_NAMES[yi]])
 
 
 def read_dataset_csv(path):
+    """The dataset write_dataset_csv wrote; an empty feature cell reads as
+    value 0 and mask 0."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -383,28 +408,17 @@ def read_dataset_csv(path):
             raise SchemaError("expected a header with a trailing 'label' "
                               "column")
         names = header[:-1]
-        X_rows, labels = [], []
+        X_rows, M_rows, labels = [], [], []
         for lineno, rec in _rows(reader, header):
             try:
-                X_rows.append([float(v) for v in rec[:-1]])
+                M_rows.append([float(v != "") for v in rec[:-1]])
+                X_rows.append([float(v) if v else 0.0 for v in rec[:-1]])
                 if not np.all(np.isfinite(X_rows[-1])):
                     raise ValueError(f"feature values {rec[:-1]} are not "
                                      "all finite numbers")
+                if rec[-1] not in CLASS_NAMES:
+                    raise ValueError(f"label {rec[-1]!r} not in {CLASS_NAMES}")
                 labels.append(CLASS_NAMES.index(rec[-1]))
             except ValueError as exc:
                 raise RowParseError(f"line {lineno}: {exc}") from exc
-    return LabeledDataset(
-        X=np.array(X_rows, dtype=float).reshape(len(X_rows), len(names)),
-        y=np.array(labels, dtype=int), feature_names=names)
-
-
-def write_mask_csv(ds, path):
-    np.savetxt(path, ds.M, fmt="%d", delimiter=",")
-
-
-def read_masked_csv(dataset_path, mask_path):
-    # the dataset checks the mask before X is multiplied by it
-    ds = replace(read_dataset_csv(dataset_path),
-                 M=np.loadtxt(mask_path, delimiter=",", dtype=float,
-                              ndmin=2))
-    return replace(ds, X=ds.X * ds.M)
+    return _dataset(X_rows, M_rows, labels, names)

@@ -195,13 +195,14 @@ def run_benchmark(ds, cfg, out_path=None, deterministic=False,
                   progress=None, jobs=1):
     """Full grid: every (missing rate, algorithm, repeat) cell.
 
-    ds must be complete (a missing entry is a ConfigError). Masks are
-    drawn over it once per rate, so all algorithms and repeats face the
-    same missingness, and each rate's fold split (objective.FoldSplit) is
+    Masks are drawn once per rate among ds's observed entries
+    (data.inject_missing), so all algorithms and repeats face the same
+    missingness, and each rate's fold split (objective.FoldSplit) is
     made once, before any cell runs or out_path is opened, so a dataset
-    with fewer rows than folds fails there. A failing cell becomes an error
-    record and the benchmark keeps going. Records append to out_path
-    (JSON lines) in grid order as they complete.
+    with fewer rows than folds, or a rate above its observed share,
+    fails there. A failing cell becomes an error record and the
+    benchmark keeps going. Records append to out_path (JSON lines) in
+    grid order as they complete.
 
     jobs > 1 runs cells in a process pool of at most one worker per
     cell, whose initializer hands each worker the splits once (under
@@ -210,8 +211,6 @@ def run_benchmark(ds, cfg, out_path=None, deterministic=False,
     pool, and run_benchmark raises BrokenProcessPool instead of waiting
     for its cell.
     """
-    if not ds.M.all():
-        raise ConfigError("the dataset already has missing entries")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
 

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from evomlp.cli import CsvData, SyntheticData, load_config, main
-from evomlp.data import (DataSchema, read_dataset_csv, synthesize,
-                         write_dataset_csv)
+from evomlp.data import (DataSchema, inject_missing, read_dataset_csv,
+                         synthesize, write_dataset_csv)
 from evomlp.driver import RunRecord, SearchConfig, config_manifest
 from evomlp.genome import SearchSpace, build
 from evomlp.objective import EvalConfig
@@ -160,7 +160,7 @@ def test_dataset_without_a_feature_column_exits_2(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_inject_missing_outputs(tmp_path, trace_files):
+def test_inject_missing_outputs(tmp_path, trace_files, capsys):
     raw, schema = trace_files
     prep = tmp_path / "prep"
     main(["prepare", "--input", str(raw), "--schema", str(schema),
@@ -168,11 +168,75 @@ def test_inject_missing_outputs(tmp_path, trace_files):
     out = tmp_path / "masked"
     assert main(["inject-missing", "--input", str(prep / "prepared.csv"),
                  "--rate", "0.5", "--seed", "3", "--out", str(out)]) == 0
-    mask = np.loadtxt(out / "mask.csv", delimiter=",", ndmin=2)
+    assert sorted(p.name for p in out.iterdir()) == ["masked.csv"]
     ds = read_dataset_csv(out / "masked.csv")
-    assert mask.shape == ds.X.shape
-    assert int(mask.size - mask.sum()) == int(0.5 * mask.size)
-    assert np.all(ds.X[mask == 0] == 0)
+    assert ds.X.shape == (3, 2)
+    assert int(ds.M.size - ds.M.sum()) == int(0.5 * ds.M.size)
+    assert np.all(ds.X[ds.M == 0] == 0)
+    assert f"masked 3 of 6 entries -> {out / 'masked.csv'}" \
+        in capsys.readouterr().out
+
+
+def test_inject_missing_counts_only_the_entries_it_masks(tmp_path, capsys):
+    # the input already misses 12 of its 60 entries; a rate of 0.25 masks
+    # 15 more, drawn among the other 48
+    prepared = tmp_path / "prepared.csv"
+    write_dataset_csv(inject_missing(synthesize(20, 3, 3, 3.0, seed=0), 0.2,
+                                     seed=1), prepared)
+    out = tmp_path / "masked"
+    assert main(["inject-missing", "--input", str(prepared), "--rate",
+                 "0.25", "--out", str(out)]) == 0
+    assert "masked 15 of 60 entries" in capsys.readouterr().out
+    assert np.count_nonzero(read_dataset_csv(out / "masked.csv").M) == 33
+
+
+@pytest.mark.parametrize("command", ["inject-missing", "benchmark"])
+def test_rate_above_the_observed_share_exits_2(tmp_path, capsys, command):
+    # 36 of the 60 rows x 4 features = 240 entries are missing
+    write_dataset_csv(inject_missing(synthesize(60, 4, 3, 3.0, seed=5), 0.15,
+                                     seed=1), tmp_path / "masked.csv")
+    argv = {
+        "inject-missing": ["--input", str(tmp_path / "masked.csv"),
+                           "--rate", "0.9"],
+        "benchmark": ["--config", str(tiny_config(
+            tmp_path, missing_rates=[0.0, 0.9],
+            dataset={"type": "csv", "path": "masked.csv"}))],
+    }[command]
+    out = tmp_path / "out"
+    assert main([command, *argv, "--out", str(out)]) == 2
+    assert ("missing rate 0.9 masks 216 entries, but only 204 of 240 are "
+            "observed") in capsys.readouterr().err
+    assert not (out / "masked.csv").exists()
+    assert not (out / "results.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["search", "inject-missing",
+                                     "benchmark", "prepare"])
+def test_repeated_feature_name_exits_2(tmp_path, capsys, command):
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text("a,a,label\n" + "0,1,safe\n1,0,warning\n" * 20)
+    raw = tmp_path / "trace.csv"
+    raw.write_text(RAW_TRACE.replace("cpu,wifi", "cpu,wifi,wifi=on").replace(
+        ",on\n", ",on,1\n"))
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"features": {
+        "wifi=on": "numeric", "cpu": "numeric",
+        "wifi": {"onehot": ["off", "on"]}}}))
+    config = str(tiny_config(
+        tmp_path, dataset={"type": "csv", "path": "repeated.csv"}))
+    argv = {
+        "search": ["--algorithm", "DE", "--data", str(repeated),
+                   "--config", config],
+        "inject-missing": ["--input", str(repeated), "--rate", "0.2"],
+        "benchmark": ["--config", config],
+        "prepare": ["--input", str(raw), "--schema", str(schema)],
+    }[command]
+    out = tmp_path / "out"
+    out_flag = "--output" if command == "prepare" else "--out"
+    assert main([command, *argv, out_flag, str(out)]) == 2
+    assert "feature names must be a list of distinct strings" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", [
@@ -220,6 +284,93 @@ def test_prepare_non_finite_cell_exits_2(tmp_path, trace_files, capsys,
     assert not (out / "prepared.csv").exists()
 
 
+MISSING_TRACE = """timestamp,battery_state,battery_level,cpu,screen,net,wifi
+0,discharging,80,0.5,on,wifi,on
+60,discharging,79,,dim,cell,on
+120,discharging,78.9,0.4,,wifi,on
+180,discharging,78,0.3,off,,on
+240,discharging,77,0.2,on,none,on
+300,discharging,76.9,,,,on
+"""
+
+MISSING_SCHEMA = {
+    "features": {"cpu": "numeric",
+                 "screen": {"ordinal": ["off", "dim", "on"]},
+                 "net": {"onehot": ["none", "wifi", "cell"]},
+                 "wifi": {"ordinal": ["off", "on"]}},
+    "settings": ["wifi"],
+}
+
+
+@pytest.fixture
+def prepared_with_missing_cells(tmp_path):
+    raw = tmp_path / "missing.csv"
+    raw.write_text(MISSING_TRACE)
+    schema = tmp_path / "missing_schema.json"
+    schema.write_text(json.dumps(MISSING_SCHEMA))
+    out = tmp_path / "prepared"
+    assert main(["prepare", "--input", str(raw), "--schema", str(schema),
+                 "--output", str(out)]) == 0
+    return out / "prepared.csv"
+
+
+def test_prepare_reads_an_empty_cell_as_missing(prepared_with_missing_cells):
+    ds = read_dataset_csv(prepared_with_missing_cells)
+    assert ds.feature_names == ["cpu", "screen", "net=none", "net=wifi",
+                                "net=cell", "wifi"]
+    # an empty one-hot cell masks all three of its columns
+    assert ds.M.tolist() == [[1, 1, 1, 1, 1, 1],
+                             [0, 1, 1, 1, 1, 1],
+                             [1, 0, 1, 1, 1, 1],
+                             [1, 1, 0, 0, 0, 1],
+                             [1, 1, 1, 1, 1, 1]]
+    assert ds.X.tolist() == [[0.5, 2, 0, 1, 0, 1],
+                             [0, 1, 0, 0, 1, 1],
+                             [0.4, 0, 0, 1, 0, 1],
+                             [0.3, 0, 0, 0, 0, 1],
+                             [0.2, 2, 1, 0, 0, 1]]
+
+
+def test_search_runs_on_a_prepared_csv_with_missing_cells(
+        tmp_path, prepared_with_missing_cells):
+    out = tmp_path / "run"
+    assert main(["search", "--algorithm", "de", "--config",
+                 str(tiny_config(tmp_path)), "--data",
+                 str(prepared_with_missing_cells), "--out", str(out),
+                 "--deterministic"]) == 0
+    record = json.loads((out / "run.json").read_text())
+    assert record["n_evaluations"] == 16
+    assert record["missing_rate"] == round(5 / 30, 6)
+
+
+def test_prepare_empty_settings_cell_exits_2(tmp_path, capsys):
+    raw = tmp_path / "missing.csv"
+    raw.write_text(MISSING_TRACE.replace("0.4,,wifi,on", "0.4,,wifi,"))
+    schema = tmp_path / "missing_schema.json"
+    schema.write_text(json.dumps(MISSING_SCHEMA))
+    out = tmp_path / "prepared"
+    assert main(["prepare", "--input", str(raw), "--schema", str(schema),
+                 "--output", str(out)]) == 2
+    assert "line 4: settings column 'wifi' is empty" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_benchmark_runs_on_a_csv_with_missing_entries(tmp_path):
+    masked = tmp_path / "masked.csv"
+    write_dataset_csv(synthesize(60, 4, 3, 3.0, seed=5), masked)
+    header, *rows = masked.read_text().splitlines()
+    # every fifth row misses its first feature
+    masked.write_text("\n".join([header] + [
+        "," + row.split(",", 1)[1] if i % 5 == 0 else row
+        for i, row in enumerate(rows)]) + "\n")
+    out = tmp_path / "bench"
+    assert main(["benchmark", "--config", str(tiny_config(
+        tmp_path, dataset={"type": "csv", "path": "masked.csv"})),
+        "--out", str(out), "--deterministic", "--quiet"]) == 0
+    assert len((out / "results.jsonl").read_text().splitlines()) == 8
+
+
 def test_search_reads_csv_beside_its_config(tmp_path, monkeypatch):
     cfg_dir = tmp_path / "cfgdir"
     cfg_dir.mkdir()
@@ -248,30 +399,6 @@ def test_search_without_data_or_config_exits_2(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["search", "--algorithm", "DE", "--out", str(out)]) == 2
     assert "needs --data or a --config" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_search_mask_without_data_exits_2(tmp_path, capsys):
-    cfg = tiny_config(tmp_path)
-    mask = tmp_path / "mask.csv"
-    mask.write_text("1,1,1,1\n" * 30)
-    out = tmp_path / "run"
-    assert main(["search", "--algorithm", "de", "--config", str(cfg),
-                 "--mask", str(mask), "--out", str(out)]) == 2
-    assert "--mask" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_search_non_binary_mask_exits_2(tmp_path, capsys):
-    data_csv = tmp_path / "data.csv"
-    data_csv.write_text("f0,f1,label\n0,0,safe\n5,5,warning\n"
-                        "10,10,critical\n")
-    mask = tmp_path / "mask.csv"
-    mask.write_text("1,1\n0.5,1\n1,1\n")
-    out = tmp_path / "run"
-    assert main(["search", "--algorithm", "de", "--data", str(data_csv),
-                 "--mask", str(mask), "--out", str(out)]) == 2
-    assert "mask entries" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -348,7 +475,7 @@ def test_max_layers_beyond_space_exits_2(tmp_path, capsys):
     {"dataset": {"type": "synthetic", "n": 60, "p": 4, "classes": 3.5}},
     {"dataset": {"type": "csv"}},
     {"dataset": {"type": "synthetic", "n": 60, "p": 4, "classes": 3,
-                 "mask": "mask.csv"}},
+                 "mask": "masked.csv"}},
     {"eval": {"folds": 2, "epochs": 2.5, "batch_size": 16, "seed": 0}},
     {"eval": {"folds": 2.0, "epochs": 2, "batch_size": 16, "seed": 0}},
     {"eval": {"folds": 2, "epochs": 2, "batch_size": 16.0, "seed": 0}},

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import io
 
@@ -8,8 +9,7 @@ from evomlp.data import (CLASS_NAMES, DataSchema, DegenerateIntervalError,
                          FilteredStateError, LabeledDataset, RowParseError,
                          SchemaError, StateRow, compute_ecpm,
                          ingest, inject_missing, label_ecpm,
-                         read_dataset_csv, read_masked_csv, synthesize,
-                         write_dataset_csv, write_mask_csv)
+                         read_dataset_csv, synthesize, write_dataset_csv)
 
 SCHEMA = DataSchema(
     features={"cpu": "numeric", "wifi": {"ordinal": ["off", "on"]}},
@@ -174,11 +174,33 @@ def test_inject_missing_seeded():
 
 
 def test_inject_missing_rejects_masked_dataset():
-    # injecting again would draw a fresh mask over the first one and
-    # mark some of its zeroed entries as observed
-    mds = inject_missing(_blob_dataset(n=100), 0.2, seed=1)
-    with pytest.raises(ValueError, match="missing entries"):
-        inject_missing(mds, 0.2, seed=2)
+    # a rate counts entries of the whole table, drawn among the observed
+    # ones, so a dataset with fewer observed entries cannot give the count
+    mds = inject_missing(_blob_dataset(n=100), 0.6, seed=1)
+    with pytest.raises(ValueError, match="missing rate 0.8 masks 400 "
+                       "entries, but only 200 of 500 are observed"):
+        inject_missing(mds, 0.8, seed=2)
+
+
+def test_inject_missing_keeps_earlier_missing_entries():
+    first = inject_missing(_blob_dataset(n=100), 0.2, seed=1)
+    second = inject_missing(first, 0.3, seed=2)
+    assert np.all(second.M[first.M == 0] == 0)
+    assert np.count_nonzero(first.M) - np.count_nonzero(second.M) == 150
+    assert np.array_equal(second.X, first.X * second.M)
+
+
+@pytest.mark.parametrize("rate, seed", [(0.0, 1), (0.05, 2), (0.4, 3),
+                                        (0.95, 4)])
+def test_inject_missing_draws_over_all_entries_of_a_complete_dataset(
+        rate, seed):
+    # drawn among all n * p observed entries, the positions are those of
+    # choice(n * p, k) from the same seed
+    ds = _blob_dataset(n=40, p=7)
+    expected = np.ones(ds.X.size)
+    expected[np.random.default_rng(seed).choice(
+        ds.X.size, int(np.floor(rate * ds.X.size)), replace=False)] = 0.0
+    assert np.array_equal(inject_missing(ds, rate, seed).M.ravel(), expected)
 
 
 def test_inject_missing_rejects_bad_rate():
@@ -224,15 +246,24 @@ def test_masked_csv_round_trip(tmp_path):
     ds = _blob_dataset()
     mds = inject_missing(ds, 0.25, seed=6)
     data_path = tmp_path / "masked.csv"
-    mask_path = tmp_path / "mask.csv"
-    write_dataset_csv(LabeledDataset(X=mds.X, y=mds.y,
-                                     feature_names=mds.feature_names),
-                      data_path)
-    write_mask_csv(mds, mask_path)
-    back = read_masked_csv(data_path, mask_path)
+    write_dataset_csv(mds, data_path)
+    with open(data_path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    # a missing entry is an empty cell, and only a missing entry is
+    assert [[cell == "" for cell in row[:-1]] for row in rows] \
+        == (mds.M == 0).tolist()
+    back = read_dataset_csv(data_path)
     assert np.array_equal(back.X, mds.X)
     assert np.array_equal(back.M, mds.M)
     assert np.array_equal(back.y, mds.y)
+
+
+def test_dataset_csv_names_an_unknown_label(tmp_path):
+    path = tmp_path / "ds.csv"
+    path.write_text("f0,label\n1.0,safe\n2.0,Safe\n")
+    with pytest.raises(RowParseError, match=r"^line 3: label 'Safe' not in "
+                       r"\('safe', 'warning', 'critical'\)"):
+        read_dataset_csv(path)
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
@@ -323,16 +354,6 @@ def test_ingest_rejects_non_finite_numeric_cell(cell):
                        (120, "discharging", 78, 1.0, "on")]), SCHEMA)
 
 
-@pytest.mark.parametrize("entry", ["0.5", "2", "-1", "nan"])
-def test_masked_csv_rejects_non_binary_mask(tmp_path, entry):
-    ds = _blob_dataset(n=3, p=2)
-    data_path, mask_path = tmp_path / "ds.csv", tmp_path / "mask.csv"
-    write_dataset_csv(ds, data_path)
-    mask_path.write_text(f"1,0\n{entry},1\n1,1\n")
-    with pytest.raises(SchemaError, match="0 .* or 1"):
-        read_masked_csv(data_path, mask_path)
-
-
 _GATE_X = np.arange(36, dtype=float).reshape(9, 4)
 
 
@@ -353,9 +374,11 @@ def _with_cell(value):
     ({"y": np.arange(9) % 3 + 1}, "labels"),
     ({"feature_names": ["a", "b", "c"]}, "feature names"),
     ({"X": _GATE_X[:, :0], "feature_names": []}, "at least one column"),
+    ({"feature_names": ["a", "b", "a", "d"]}, "feature names must be a "
+     r"list of distinct strings, got \['a', 'b', 'a', 'd'\]"),
 ], ids=["nan_cell", "inf_cell", "1d_features", "half_mask", "mask_shape",
         "short_labels", "float_labels", "label_outside_classes",
-        "too_few_names", "no_feature_column"])
+        "too_few_names", "no_feature_column", "repeated_name"])
 def test_dataset_rejects_malformed_fields(fields, message):
     kwargs = dict(X=_GATE_X, y=np.arange(9) % 3,
                   feature_names=["a", "b", "c", "d"])
@@ -401,15 +424,6 @@ def test_dataset_leaves_the_callers_arrays_writable():
                 or ds.M.flags.writeable)
 
 
-def test_masked_csv_rejects_mask_of_another_shape(tmp_path):
-    ds = _blob_dataset(n=3, p=2)
-    data_path, mask_path = tmp_path / "ds.csv", tmp_path / "mask.csv"
-    write_dataset_csv(ds, data_path)
-    mask_path.write_text("1,0,1\n0,1,1\n1,1,1\n")
-    with pytest.raises(SchemaError, match="mask shape"):
-        read_masked_csv(data_path, mask_path)
-
-
 def test_onehot_encoding():
     schema = DataSchema(features={"net": {"onehot": ["none", "wifi",
                                                      "cell"]}})
@@ -433,10 +447,17 @@ def test_schema_encodes_interleaved_kinds_in_declared_order():
     assert schema.encoded_names() == [
         "net=none", "net=wifi", "net=cell", "cpu", "screen", "gps=off",
         "gps=on", "temperature", "wifi"]
-    assert schema.encode_row({
+    values, mask = schema.encode_row({
         "net": "cell", "cpu": "0.25", "screen": "dim", "gps": "off",
-        "temperature": "31.5", "wifi": "on"}) == [
-        0.0, 0.0, 1.0, 0.25, 1.0, 1.0, 0.0, 31.5, 1.0]
+        "temperature": "31.5", "wifi": "on"})
+    assert values == [0.0, 0.0, 1.0, 0.25, 1.0, 1.0, 0.0, 31.5, 1.0]
+    assert mask == [1.0] * 9
+    # an empty cell masks every column it encodes to
+    assert schema.encode_row({
+        "net": "", "cpu": "0.25", "screen": "", "gps": "on",
+        "temperature": "", "wifi": "on"}) == (
+        [0.0, 0.0, 0.0, 0.25, 0.0, 0.0, 1.0, 0.0, 1.0],
+        [0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
 
 
 @pytest.mark.parametrize("kind", ["ordinal", "onehot"])

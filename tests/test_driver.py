@@ -188,10 +188,15 @@ def test_search_config_refuses_an_unknown_algorithm():
         tiny_config(algorithms=("DE", "bogus"))
 
 
-def test_benchmark_rejects_masked_dataset(blob_data):
-    masked = inject_missing(blob_data, 0.2, seed=0)
-    with pytest.raises(ValueError, match="missing entries"):
-        run_benchmark(masked, tiny_config())
+def test_benchmark_rejects_masked_dataset(blob_data, tmp_path):
+    # each rate's entries are drawn among the observed ones; a rate that
+    # asks for more fails while the splits are made, before any cell
+    masked = inject_missing(blob_data, 0.7, seed=0)
+    out = tmp_path / "results.jsonl"
+    with pytest.raises(ValueError, match="missing rate 0.4 masks 96 "
+                       "entries, but only 72 of 240 are observed"):
+        run_benchmark(masked, tiny_config(), out_path=out)
+    assert not out.exists()
 
 
 def test_benchmark_parallel_matches_sequential(blob_data):

@@ -22,9 +22,9 @@ two configs against digests kept in golden_digests.json:
   on a 10-D Rastrigin, at budgets that end on and within a generation
   (CMA-ES's truncated one included), each run cold and warm-started;
 - "masked": the masked CLI path, `inject-missing --rate 0.2` on a fixed
-  dataset CSV and then `search --deterministic --data masked.csv --mask
-  mask.csv` on the small config; the digest covers `masked.csv`,
-  `mask.csv` and `run.json`;
+  dataset CSV and then `search --deterministic --data masked.csv` on the
+  small config, where each empty cell of `masked.csv` is a missing entry;
+  the digest covers `masked.csv` and `run.json`;
 - "solvers": the parameters after every step of each of the 10 update
   rules, on a list of three tensors and on one (2, 50) stack, over a grid
   of hyperparameters with weight decay and momentum both 0 and > 0 and
@@ -291,12 +291,10 @@ def test_masked_search_matches_golden(tmp_path):
         dict(SMALL_CONFIG, eval=dict(SMALL_CONFIG["eval"], folds=3))))
     out = tmp_path / "search"
     assert main(["search", "--algorithm", "DE", "--config", str(config),
-                 "--data", str(masked / "masked.csv"),
-                 "--mask", str(masked / "mask.csv"), "--out", str(out),
+                 "--data", str(masked / "masked.csv"), "--out", str(out),
                  "--deterministic"]) == 0
     digest = hashlib.sha256()
-    for path in (masked / "masked.csv", masked / "mask.csv",
-                 out / "run.json"):
+    for path in (masked / "masked.csv", out / "run.json"):
         digest.update(path.read_bytes())
     _assert_golden("masked", digest.hexdigest())
 
