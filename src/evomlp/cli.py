@@ -184,7 +184,6 @@ def cmd_benchmark(args):
     cfg, dataset_spec = load_config(args.config)
     ds = load_dataset(dataset_spec,
                       base_dir=os.path.dirname(args.config) or ".")
-    os.makedirs(args.out, exist_ok=True)
     results_path = os.path.join(args.out, "results.jsonl")
 
     def progress(record):

@@ -16,6 +16,7 @@ canonical spelling and refuses an unknown one on construction.
 """
 
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -202,7 +203,8 @@ def run_benchmark(ds, cfg, out_path=None, deterministic=False,
     with fewer rows than folds, or a rate above its observed share,
     fails there. A failing cell becomes an error record and the
     benchmark keeps going. Records append to out_path (JSON lines) in
-    grid order as they complete.
+    grid order as they complete; its directory is made, if missing, only
+    once the splits exist.
 
     jobs > 1 runs cells in a process pool of at most one worker per
     cell, whose initializer hands each worker the splits once (under
@@ -227,7 +229,10 @@ def run_benchmark(ds, cfg, out_path=None, deterministic=False,
     # a pool starts all its workers on the first task, needed or not
     jobs = min(jobs, len(tasks))
 
-    sink = open(out_path, "w") if out_path else None
+    sink = None
+    if out_path:
+        os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
+        sink = open(out_path, "w")
     records = []
     pool = None
     try:

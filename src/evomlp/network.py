@@ -27,6 +27,14 @@ inner dimension of the weight-gradient matmul and with it how BLAS
 accumulates, so the gradient bits would change. `init_stack` writes the
 initial weights of each row into the stack's buffer directly, and
 `predict` scores every net of a stack in one call.
+
+A net holds its parameters in the dtype it was made with, float64 by
+default, and every call on it computes in that dtype: inputs, masks and
+targets are converted to it. Training makes its nets in float32 (see
+objective.split_folds), the default precision of the torch.optim rules
+the solvers follow: on nets of tens of thousands of parameters the
+matmuls and the solver's passes over memory then take about half the
+time of float64.
 """
 
 import math
@@ -98,25 +106,28 @@ def _layout(sizes):
     return layout
 
 
-def init_stack(hidden_layer_sizes, input_dim, seeds):
-    """A stack of len(seeds) nets, row i initialised from seeds[i] (a
-    seed or a Generator): weights uniform in +-sqrt(6/fan_in), layer by
-    layer from one stream per row, biases zero.
+def init_stack(hidden_layer_sizes, input_dim, seeds, dtype=float):
+    """A stack of len(seeds) nets of the given dtype, row i initialised
+    from seeds[i] (a seed or a Generator): weights uniform in
+    +-sqrt(6/fan_in), layer by layer from one stream per row, biases
+    zero.
 
-    Each row draws its uniforms u straight into its weights, and each
-    layer then maps the draws of every row at once with rng.uniform's
-    own arithmetic, low + (high - low) * u, so the weights are the bits
-    of one rng.uniform call per layer and row."""
+    Each row draws its uniforms u straight into its weights, in the
+    stack's dtype, and each layer then maps the draws of every row at
+    once with rng.uniform's own arithmetic, low + (high - low) * u, so
+    float64 weights are the bits of one rng.uniform call per layer and
+    row."""
     if input_dim < 1:
         raise ValueError("input_dim must be >= 1")
     sizes = [int(input_dim)] + [int(s) for s in hidden_layer_sizes] \
         + [N_OUTPUTS]
     layout = _layout(sizes)
-    stack = MaskedMLP(layout, np.zeros((len(seeds), layout[-1][1])))
+    flat = np.zeros((len(seeds), layout[-1][1]), dtype=dtype)
+    stack = MaskedMLP(layout, flat)
     for row, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         for w in stack.weights:
-            rng.random(out=w[row])
+            rng.random(out=w[row], dtype=flat.dtype)
     for w, fan_in in zip(stack.weights, sizes):
         limit = math.sqrt(6.0 / fan_in)
         w *= limit - -limit
@@ -124,21 +135,23 @@ def init_stack(hidden_layer_sizes, input_dim, seeds):
     return stack
 
 
-def init_network(hidden_layer_sizes, input_dim, seed):
+def init_network(hidden_layer_sizes, input_dim, seed, dtype=float):
     """Seeded init: weights uniform in +-sqrt(6/fan_in), biases zero."""
-    return init_stack(hidden_layer_sizes, input_dim, [seed]).row(0)
+    return init_stack(hidden_layer_sizes, input_dim, [seed], dtype).row(0)
 
 
-def one_hot(y):
-    """Float one-hot rows of integer labels: shape y.shape + (N_OUTPUTS,)."""
+def one_hot(y, dtype=float):
+    """One-hot rows of integer labels: shape y.shape + (N_OUTPUTS,)."""
     return (np.asarray(y, dtype=int)[..., np.newaxis]
-            == np.arange(N_OUTPUTS)).astype(float)
+            == np.arange(N_OUTPUTS)).astype(dtype)
 
 
 def mask_input(x, m):
-    """Element-wise product x * m: masked entries zeroed, observed kept."""
-    x = np.asarray(x, dtype=float)
-    m = np.asarray(m, dtype=float)
+    """Element-wise product x * m: masked entries zeroed, observed kept.
+    The product keeps x's floating dtype (float64 for other x)."""
+    x = np.asarray(x)
+    x = x.astype(np.result_type(x, 0.0), copy=False)
+    m = np.asarray(m, dtype=x.dtype)
     if x.shape != m.shape:
         raise ValueError(f"shape mismatch: x {x.shape} vs mask {m.shape}")
     return x * m
@@ -169,7 +182,7 @@ def forward_batch(net, X, M=None):
     bit-identical result. For a stack of k nets X is (k, n, p), net i
     scores batch i, and each net gets the bits it would get alone.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.atleast_2d(np.asarray(X, dtype=net.flat.dtype))
     a = X if M is None else mask_input(X, np.atleast_2d(M))
     if a.shape[-1] != net.input_dim:
         raise ValueError(
@@ -207,14 +220,14 @@ def loss_and_gradients(net, X, M, y, out=None, targets=None,
     within one net's batch, so each net gets the bits it would get by
     itself. A single net is the unstacked case of the same code.
     """
-    X = np.asarray(X, dtype=float)
+    X = np.asarray(X, dtype=net.flat.dtype)
     if X.ndim == 1:
         X = X[np.newaxis]
     n = X.shape[-2]
     if n == 0:
         raise ValueError("empty batch")
     if targets is None:
-        targets = one_hot(y)
+        targets = one_hot(y, X.dtype)
     a = X if M is None else mask_input(X, np.atleast_2d(M))
 
     # forward, caching pre/post activations for the backward pass

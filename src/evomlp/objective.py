@@ -28,6 +28,15 @@ stacks. A stack holds at most STACK_PARAMS parameters, since its memory
 grows with k. Training gathers each epoch's rows once, takes every
 mini-batch as a view of that gather, and never asks for the loss. Each
 stack is scored with one `predict` call and one confusion count.
+
+Training runs in float32, and the split is the one place that picks it:
+`split_folds` scales each fold in float64 and stores its rows and
+targets as float32, and every stack and solver is made in the split's
+dtype. float32 is the default precision of the torch.optim rules the
+solvers follow, and on nets of tens of thousands of parameters it about
+halves the time of the matmuls and of the solver's passes over memory.
+A float32 fold overflows sooner (at about 3.4e38), and then diverges as
+any fold does.
 """
 
 from dataclasses import dataclass
@@ -158,12 +167,15 @@ class FoldSplit:
     - X_train[i, :n_train[i]] are fold i's training rows, min-max scaled
       on themselves and then multiplied by their mask, as the network's
       first layer would; targets[i, :n_train[i]] are their one-hot labels.
+      Both are float32, training's precision, rounded once from the
+      float64 scaling.
     - batch_rows[e, i, :n_train[i]] lists fold i's training rows in epoch
       e's batch order, as rows of X_train.reshape(-1, p) (and of targets
       reshaped alike), the orders drawn from the fold's own seeded
       Generator.
     - X_test[i, :n_test[i]] and y_test[i, :n_test[i]] are fold i's test
-      rows, scaled and masked like its training rows, and their labels.
+      rows, scaled, masked and stored like its training rows, and their
+      labels.
 
     init_rngs[i] = (Generator, state) is fold i's Generator for initial
     weights and its freshly seeded state; init_rng(i) resets and returns
@@ -209,9 +221,11 @@ def split_folds(ds, cfg):
     n_test = np.array([f.size for f in folds])
     n_train = ds.n - n_test
     n_max = n_train.max()
-    X_train = np.zeros((cfg.folds, n_max, ds.p))
+    # training's one choice of precision: rows are scaled in float64 and
+    # rounded once to float32 on store
+    X_train = np.zeros((cfg.folds, n_max, ds.p), dtype=np.float32)
     y_train = np.zeros((cfg.folds, n_max), dtype=ds.y.dtype)
-    X_test = np.zeros((cfg.folds, n_test.max(), ds.p))
+    X_test = np.zeros((cfg.folds, n_test.max(), ds.p), dtype=np.float32)
     y_test = np.zeros((cfg.folds, n_test.max()), dtype=ds.y.dtype)
     batch_rows = np.zeros((cfg.epochs, cfg.folds, n_max), dtype=np.intp)
     init_rngs = []
@@ -232,7 +246,8 @@ def split_folds(ds, cfg):
     return FoldSplit(
         folds=cfg.folds, epochs=cfg.epochs, seed=cfg.seed,
         missing_rate=round(1.0 - float(np.mean(ds.M)), 6),
-        X_train=X_train, targets=network.one_hot(y_train), n_train=n_train,
+        X_train=X_train, targets=network.one_hot(y_train, X_train.dtype),
+        n_train=n_train,
         batch_rows=batch_rows, X_test=X_test, y_test=y_test, n_test=n_test,
         init_rngs=tuple(init_rngs))
 
@@ -320,7 +335,8 @@ def _trained_stacks(spec, split, cfg):
     n_params = sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
     for folds in _stacks(split, n_params):
         stack = network.init_stack(spec.hidden_layer_sizes, split.p,
-                                   [split.init_rng(f) for f in folds])
+                                   [split.init_rng(f) for f in folds],
+                                   split.X_train.dtype)
         yield folds, stack, _train(stack, solver_spec, split, folds, cfg)
 
 
@@ -356,7 +372,7 @@ def _train(stack, solver_spec, split, folds, cfg):
                for start in range(0, n, cfg.batch_size)]
     X_rows = split.X_train.reshape(-1, split.p)
     target_rows = split.targets.reshape(-1, split.targets.shape[-1])
-    solver = make_solver(solver_spec, [stack.flat.shape])
+    solver = make_solver(solver_spec, [stack.flat.shape], stack.flat.dtype)
     params, grads = [stack.flat], [np.empty_like(stack.flat)]
     grad = grads[0]
     dead = None  # rows whose gradient went non-finite, once one has

@@ -22,6 +22,12 @@ never writes into the gradients it is given. Each in-place form keeps
 the order of every floating-point operation of the rule's expression (up
 to swapping the operands of a product or a sum), so it gives the same
 bits.
+
+A solver holds its state in the dtype it was made with, float64 by
+default, and steps parameters of that dtype; training makes its solvers
+in float32, the precision torch.optim steps in by default (see
+objective.split_folds). The hyperparameters a genome decodes to are
+Python floats, so a float32 step computes in float32 throughout.
 """
 import math
 from dataclasses import dataclass, field
@@ -50,8 +56,9 @@ def consumed_parameters(solver_id):
         raise ValueError(f"unknown solver id {solver_id}") from None
 
 
-def make_solver(spec, param_shapes):
-    """Build a zero-initialized solver state for the given tensor shapes.
+def make_solver(spec, param_shapes, dtype=float):
+    """Build a zero-initialized solver state for the given tensor shapes,
+    its arrays of the given dtype.
 
     spec.params must contain exactly the consumed parameters for the id.
     """
@@ -60,7 +67,7 @@ def make_solver(spec, param_shapes):
     if set(spec.params) != consumed:
         raise ValueError(f"{rule.__name__} expects params {sorted(consumed)}"
                          f", got {sorted(spec.params)}")
-    return rule(spec.params, [tuple(s) for s in param_shapes])
+    return rule(spec.params, [tuple(s) for s in param_shapes], dtype)
 
 
 def _check_grads(grads):
@@ -122,7 +129,7 @@ class _SolverState:
     SLOTS = ()  # per-tensor state arrays of the rule, zero at the start
     SCRATCH = 2  # work arrays per tensor that the rule's _apply receives
 
-    def __init__(self, params, shapes):
+    def __init__(self, params, shapes, dtype):
         self.p = dict(params)
         # the genome's closed [0.8, 1] interval admits beta = 1 exactly,
         # which would zero the bias-correction denominators
@@ -131,8 +138,8 @@ class _SolverState:
                 self.p[key] = min(self.p[key], 1.0 - 1e-8)
         self.t = 0
         for name in self.SLOTS:
-            setattr(self, name, [np.zeros(s) for s in shapes])
-        self.scratch = [tuple(np.empty(s) for _ in range(self.SCRATCH))
+            setattr(self, name, [np.zeros(s, dtype) for s in shapes])
+        self.scratch = [tuple(np.empty(s, dtype) for _ in range(self.SCRATCH))
                         for s in shapes]
 
     def _decayed(self, param, grad, out):
@@ -154,7 +161,7 @@ class _SolverState:
         self.t += 1
         self._advance()
         for i, (w, g) in enumerate(zip(params, grads)):
-            self._apply(i, w, np.asarray(g, dtype=float), *self.scratch[i])
+            self._apply(i, w, np.asarray(g, dtype=w.dtype), *self.scratch[i])
         return params
 
 
@@ -255,8 +262,8 @@ class NAdam(_Moments):
 
     CONSUMED = _Moments.CONSUMED | {"lambda"}
 
-    def __init__(self, params, shapes):
-        super().__init__(params, shapes)
+    def __init__(self, params, shapes, dtype):
+        super().__init__(params, shapes, dtype)
         self.mu_prod = 1.0
 
     def _advance(self):
@@ -286,8 +293,8 @@ class RAdam(_Moments):
         rho_inf = 2 / (1 - b2) - 1
         rho_t = rho_inf - 2 * self.t * b2 ** self.t / (1 - b2 ** self.t)
         if rho_t > 5:
-            r = np.sqrt((rho_t - 4) * (rho_t - 2) * rho_inf
-                        / ((rho_inf - 4) * (rho_inf - 2) * rho_t))
+            r = math.sqrt((rho_t - 4) * (rho_t - 2) * rho_inf
+                          / ((rho_inf - 4) * (rho_inf - 2) * rho_t))
             self._adam_step(i, w, lr * r, s1, s2)
         else:
             np.divide(self.m[i], 1 - b1 ** self.t, out=s1)
@@ -332,9 +339,10 @@ class Rprop(_SolverState):
     CHUNK = 1 << 16
     SCRATCH = 1
 
-    def __init__(self, params, shapes):
-        super().__init__(params, shapes)
-        self.step_size = [np.full(s, params["learning_rate"]) for s in shapes]
+    def __init__(self, params, shapes, dtype):
+        super().__init__(params, shapes, dtype)
+        self.step_size = [np.full(s, params["learning_rate"], dtype)
+                          for s in shapes]
 
     def _apply(self, i, w, g, s1):
         step, prev = self.step_size[i], self.prev_grad[i]

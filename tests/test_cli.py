@@ -208,6 +208,7 @@ def test_rate_above_the_observed_share_exits_2(tmp_path, capsys, command):
             "observed") in capsys.readouterr().err
     assert not (out / "masked.csv").exists()
     assert not (out / "results.jsonl").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["search", "inject-missing",

@@ -35,6 +35,26 @@ def test_mask_input_shape_mismatch():
         mask_input([1, 2, 3], [1, 0])
 
 
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_net_computes_in_its_own_dtype(dtype):
+    # inputs, masks and labels of other types are converted to the net's
+    other = np.float64 if dtype == np.float32 else np.float32
+    rng = np.random.default_rng(5)
+    net = init_network([6, 4], 3, seed=1, dtype=dtype)
+    stack = init_stack([6, 4], 3, [1, 2], dtype=dtype)
+    assert net.flat.dtype == stack.flat.dtype == dtype
+    X = rng.normal(size=(5, 3)).astype(other)
+    M = (rng.random((5, 3)) > 0.3).astype(other)
+    y = rng.integers(0, 3, size=5)
+    assert forward_batch(net, X, M).dtype == dtype
+    assert forward_batch(stack, np.stack([X, X])).dtype == dtype
+    loss, grads = loss_and_gradients(net, X, M, y)
+    assert loss.dtype == dtype
+    assert all(g.dtype == dtype for g in grads)
+    assert mask_input(X.astype(dtype), M).dtype == dtype
+    assert one_hot(y, dtype).dtype == dtype
+
 def test_zero_network_gives_uniform_scores():
     net = init_network([4], 3, seed=0)
     for w in net.weights:

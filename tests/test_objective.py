@@ -267,9 +267,10 @@ def _train_alone(spec, X, y, fold_i, cfg):
     """Reference: one fold trained by itself on 2-D arrays, one gradient
     call and one solver step per mini-batch; None if it diverged."""
     net = init_network(spec.hidden_layer_sizes, X.shape[1],
-                       seed=derive_seed(cfg.seed, "init", fold_i))
+                       seed=derive_seed(cfg.seed, "init", fold_i),
+                       dtype=X.dtype)
     solver = make_solver(SolverSpec(spec.solver_id, spec.active_params),
-                         [net.flat.shape])
+                         [net.flat.shape], dtype=X.dtype)
     rng = np.random.default_rng(derive_seed(cfg.seed, "batches", fold_i))
     grad = np.empty_like(net.flat)
     with np.errstate(all="ignore"):
@@ -420,6 +421,31 @@ def test_split_init_rngs_restart_from_each_folds_seed():
         assert np.array_equal(split.init_rng(fold_i).random(20),
                               seeded.random(20))
 
+
+
+def test_split_stores_float32_rows_and_targets():
+    cfg = EvalConfig(folds=3, epochs=1, batch_size=8, seed=4)
+    ds = inject_missing(synthesize(61, 5, 3, separation=3.0, seed=1), 0.2,
+                        seed=2)
+    split = split_folds(ds, cfg)
+    assert split.X_train.dtype == split.X_test.dtype == np.float32
+    assert split.targets.dtype == np.float32
+    # fold 0's training rows: scaled in float64, then rounded once
+    test_idx = stratified_folds(ds.y, cfg.folds, np.random.default_rng(
+        derive_seed(cfg.seed, "folds")))[0]
+    train_idx = np.setdiff1d(np.arange(ds.n), test_idx)
+    X, M = ds.X[train_idx], ds.M[train_idx]
+    scaled = objective._apply_minmax(X, M, *objective._fit_minmax(X, M))
+    assert np.array_equal(split.X_train[0, :train_idx.size],
+                          scaled.astype(np.float32))
+
+
+@pytest.mark.parametrize("solver_id", range(1, 11))
+def test_trained_stacks_are_float32(solver_id):
+    split, cfg = _stack_case("k3-ragged-last-batch")
+    stacks = list(objective._trained_stacks(_spec(solver_id), split, cfg))
+    assert len(stacks) == 2
+    assert all(stack.flat.dtype == np.float32 for _, stack, _ in stacks)
 
 @pytest.mark.parametrize("case", sorted(STACK_CASES))
 def test_stacked_predictions_equal_each_rows_predictions(case):

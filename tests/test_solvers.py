@@ -318,6 +318,32 @@ def test_step_leaves_gradients_unchanged():
             assert np.array_equal(g, b), SOLVER_NAMES[solver_id]
 
 
+
+@pytest.mark.parametrize("solver_id", sorted(SOLVER_NAMES))
+def test_float32_solver_keeps_every_array_float32(solver_id):
+    # training's precision: parameters, slots, scratch and Rprop's step
+    # sizes stay float32, and the steps track the float64 rule's
+    rng = np.random.default_rng(solver_id)
+    shapes = [(2, 5), (3,)]
+    params = selective_exclusion(solver_id, mid_range_hyper())
+    single = make_solver(SolverSpec(solver_id, params), shapes,
+                         dtype=np.float32)
+    double = make_solver(SolverSpec(solver_id, params), shapes)
+    tensors = [rng.normal(size=s).astype(np.float32) for s in shapes]
+    reference = [t.astype(float) for t in tensors]
+    for _ in range(3):
+        grads = [rng.normal(size=s).astype(np.float32) for s in shapes]
+        single.step(tensors, grads)
+        double.step(reference, [g.astype(float) for g in grads])
+    state = [a for value in vars(single).values() if isinstance(value, list)
+             for item in value
+             for a in (item if isinstance(item, tuple) else (item,))]
+    assert len(state) >= len(shapes)  # at least the scratch arrays
+    assert all(a.dtype == np.float32 for a in tensors + state)
+    for t, r in zip(tensors, reference):
+        assert np.allclose(t, r, rtol=1e-5, atol=1e-6), SOLVER_NAMES[solver_id]
+
+
 # Scalar reference: one weight at a time in plain Python floats, written
 # from each rule's published update equations, independent of the
 # vectorized in-place code. Each takes (w, g, t, state, hyperparameters)
